@@ -50,8 +50,8 @@ class ThresholdResult:
     """q_min bounds |q|; k_min (when degree classes are known) bounds |k|.
 
     eps_exponent and degree_exponent are the evaluated min(2, c-d+1) and
-    max(1/2, d/(c-d+1)) kept for audit; t_bound is the readout-time bound
-    evaluated at q_min.
+    max(1/2, d/(c-d+1)) kept for audit, as is the cospectrality order c they
+    were evaluated at; t_bound is the readout-time bound evaluated at q_min.
     """
 
     q_min: float
@@ -59,6 +59,7 @@ class ThresholdResult:
     t_bound: float
     eps_exponent: float
     degree_exponent: float
+    cospectrality_order: int | float
 
 
 def readout_time_bound(q: float, max_degree: int, distance: int) -> float:
@@ -87,6 +88,7 @@ def q_threshold(inp: ThresholdInput) -> ThresholdResult:
         t_bound=readout_time_bound(q_min, inp.max_degree, inp.distance),
         eps_exponent=eps_exponent,
         degree_exponent=degree_exponent,
+        cospectrality_order=inp.cospectrality_order,
     )
 
 

@@ -19,7 +19,6 @@ from .bounds import k_threshold_two_class
 from .cospectral import (
     cospectrality,
     find_involution_pairing,
-    localization_mass,
     parse_permutation,
     sign_pattern,
     verify_involution,
@@ -33,7 +32,7 @@ from .errors import (
 )
 from .graphs import Graph, complete_bipartite, cycle_graph, from_edge_list, path_graph
 from .hamiltonians import Generalized, HamiltonianSpec, hamiltonian_matrix, parse_model
-from .spectral import eigendecompose, spectral_projectors
+from .spectral import eigendecompose, localization_mass, spectral_projectors
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -123,19 +122,6 @@ def _cmd_fidelity(args) -> None:
     _write("\n".join(lines) + "\n", args.out)
 
 
-def _threshold_report(graph: Graph, u: int, v: int, epsilon: float):
-    try:
-        res = k_threshold_two_class(graph, u, v, epsilon)
-    except ValueError:
-        return None
-    return {
-        "epsilon": epsilon,
-        "q_min": res.q_min,
-        "k_min": res.k_min,
-        "t_bound": res.t_bound,
-    }
-
-
 def _cmd_peak(args) -> None:
     graph = parse_graph(args.graph)
     _check_pair(graph, args.u, args.v, distinct=True)
@@ -147,7 +133,14 @@ def _cmd_peak(args) -> None:
             refine_window_fraction=args.window, refine_samples=args.refine_samples
         )
     peak = peak_fidelity(dec, args.u, args.v, strategy)
-    cos = cospectrality(graph, args.u, args.v)
+    try:
+        res = k_threshold_two_class(graph, args.u, args.v, args.epsilon)
+    except ValueError:
+        threshold = None
+        order = cospectrality(graph, args.u, args.v).order
+    else:
+        threshold = {"epsilon": args.epsilon, "q_min": res.q_min, "k_min": res.k_min, "t_bound": res.t_bound}
+        order = res.cospectrality_order
     projectors = spectral_projectors(dec)
     signs = sign_pattern(projectors, args.u, args.v)
     masses = localization_mass(projectors, args.u, args.v)
@@ -162,8 +155,8 @@ def _cmd_peak(args) -> None:
         "probability": peak.fidelity**2,
         "t_star": peak.t_star,
         "method": peak.method,
-        "threshold": _threshold_report(graph, args.u, args.v, args.epsilon),
-        "cospectrality_order": _order_json(cos.order),
+        "threshold": threshold,
+        "cospectrality_order": _order_json(order),
         "sign_pattern": [s.value for s in signs.signs],
         "localization_mass_top_groups": top_masses,
     }
@@ -226,7 +219,6 @@ def _cmd_bound(args) -> None:
     graph = parse_graph(args.graph)
     _check_pair(graph, args.u, args.v, distinct=True)
     res = k_threshold_two_class(graph, args.u, args.v, args.epsilon)
-    cos = cospectrality(graph, args.u, args.v)
     report = {
         "schema_version": SCHEMA_VERSION,
         "graph": args.graph,
@@ -240,7 +232,7 @@ def _cmd_bound(args) -> None:
         "degree_exponent": res.degree_exponent,
         "max_degree": graph.max_degree(),
         "distance": int(graph.distance(args.u, args.v)),
-        "cospectrality_order": _order_json(cos.order),
+        "cospectrality_order": _order_json(res.cospectrality_order),
     }
     _write(json.dumps(report, indent=2) + "\n", args.out)
 

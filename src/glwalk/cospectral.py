@@ -2,10 +2,11 @@
 
 The cospectrality order of a vertex pair is the largest m such that the
 closed-walk counts from u and v agree for every length <= m. Counts are
-compared exactly up to length 2n: two spectral measures supported on at most
-n atoms that share that many moments are identical, so agreement up to 2n
-certifies agreement for all lengths. An independent witness cross-checks the
-infinite verdict through the adjacency spectral projector diagonals.
+compared exactly up to length n-1: (A^k)_uu and (A^k)_vv both obey the
+recurrence of A's minimal polynomial, of order <= n, so agreement at lengths
+0..n-1 forces agreement at every length and any divergence shows below n.
+An independent witness cross-checks the infinite verdict through the
+adjacency spectral projector diagonals.
 
 Walk counts always use the unweighted adjacency structure; loop weights are
 a dynamical perturbation and do not count walks.
@@ -14,8 +15,10 @@ a dynamical perturbation and do not count walks.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
+from itertools import count, islice
 
 import numpy as np
 
@@ -72,6 +75,18 @@ class CospectralityResult:
         return math.isinf(self.order)
 
 
+def _closed_walks(g: Graph, x: int) -> Iterator[int]:
+    # (A^k)_{xx} for k = 1, 2, ...; raises at the first k with a count beyond 128 bits
+    nbrs = g.adjacency_list()
+    vec = [0] * g.n
+    vec[x] = 1
+    for k in count(1):
+        vec = [sum(vec[w] for w in nbrs[y]) for y in range(g.n)]
+        if max(vec, default=0) > WALK_COUNT_MAX:
+            raise WalkCountOverflowError(k)
+        yield vec[x]
+
+
 def closed_walk_counts(g: Graph, x: int, k_max: int) -> list[int]:
     """Exact closed-walk counts (A^k)_{xx} for k = 1..k_max.
 
@@ -81,34 +96,23 @@ def closed_walk_counts(g: Graph, x: int, k_max: int) -> list[int]:
     g.check_vertex(x)
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    nbrs = g.adjacency_list()
-    vec = [0] * g.n
-    vec[x] = 1
-    counts: list[int] = []
-    for k in range(1, k_max + 1):
-        vec = [sum(vec[w] for w in nbrs[y]) for y in range(g.n)]
-        if max(vec, default=0) > WALK_COUNT_MAX:
-            raise WalkCountOverflowError(k)
-        counts.append(vec[x])
-    return counts
+    return list(islice(_closed_walks(g, x), k_max))
 
 
 def cospectrality(g: Graph, u: int, v: int) -> CospectralityResult:
     """Cospectrality order of the pair with a projector cross-check.
 
-    Exact walk counts are compared up to length 2n. Full agreement is
-    certified as infinite after verifying (P_r)_{uu} = (P_r)_{vv} on every
-    adjacency spectral projector; a first disagreement yields the finite
-    order and the diverging counts.
+    Exact walk counts from u and v are compared in lockstep up to length n-1;
+    the first disagreement yields the finite order and the diverging counts.
+    Full agreement is certified as infinite after verifying
+    (P_r)_{uu} = (P_r)_{vv} on every adjacency spectral projector.
     """
     g.check_vertex(u)
     g.check_vertex(v)
     if u == v:
         raise ValueError("cospectrality needs two distinct vertices")
-    k_max = 2 * g.n
-    counts_u = closed_walk_counts(g, u, k_max)
-    counts_v = closed_walk_counts(g, v, k_max)
-    for k, (cu, cv) in enumerate(zip(counts_u, counts_v), start=1):
+    walks = zip(_closed_walks(g, u), _closed_walks(g, v))
+    for k, (cu, cv) in enumerate(islice(walks, g.n - 1), start=1):
         if cu != cv:
             return CospectralityResult(
                 order=k - 1,
@@ -117,11 +121,11 @@ def cospectrality(g: Graph, u: int, v: int) -> CospectralityResult:
             )
     dec = eigendecompose(g.adjacency_matrix(with_loops=False))
     for p in spectral_projectors(dec):
-        if abs(p.matrix[u, u] - p.matrix[v, v]) > PROJECTOR_DIAG_TOL:
+        difference = abs(p.diagonal(u) - p.diagonal(v))
+        if difference > PROJECTOR_DIAG_TOL:
             raise RuntimeError(
                 "walk counts and projector diagonals disagree; "
-                f"projector at eigenvalue {p.eigenvalue} differs by "
-                f"{abs(p.matrix[u, u] - p.matrix[v, v]):.3e}"
+                f"projector at eigenvalue {p.eigenvalue} differs by {difference:.3e}"
             )
     return CospectralityResult(order=INFINITE, first_divergence=None, projector_cospectral=True)
 
@@ -132,8 +136,8 @@ def sign_pattern(
     """Classify each eigenspace as PLUS, MINUS, NULL, or MIXED for the pair."""
     signs = []
     for p in projectors:
-        pu = p.matrix[:, u]
-        pv = p.matrix[:, v]
+        pu = p.column(u)
+        pv = p.column(v)
         if np.max(np.abs(pu)) <= tol and np.max(np.abs(pv)) <= tol:
             signs.append(GroupSign.NULL)
         elif np.max(np.abs(pu - pv)) <= tol:
@@ -143,11 +147,6 @@ def sign_pattern(
         else:
             signs.append(GroupSign.MIXED)
     return SignPattern(signs=tuple(signs))
-
-
-def localization_mass(projectors: list[SpectralProjector], u: int, v: int) -> np.ndarray:
-    """(P_r)_{uu} + (P_r)_{vv} per group; large values flag eigenspaces living on the pair."""
-    return np.array([p.matrix[u, u] + p.matrix[v, v] for p in projectors])
 
 
 def parse_permutation(text: str, n: int) -> tuple[int, ...]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGapError
-from .spectral import EigenDecomposition
+from .spectral import EigenDecomposition, localization_mass, spectral_projectors
 
 # gap below this fraction of the spectral range counts as degenerate
 DEGENERATE_GAP_SCALE = 1e-13
@@ -93,17 +93,6 @@ def fidelity_curve(dec: EigenDecomposition, u: int, v: int, t_max: float, sample
     return FidelityCurve(u=u, v=v, times=times, probabilities=probabilities)
 
 
-def group_localization(dec: EigenDecomposition, u: int, v: int) -> np.ndarray:
-    """Per degeneracy group, the projector mass (P_r)_{uu} + (P_r)_{vv}."""
-    masses = np.empty(len(dec.groups))
-    for r, group in enumerate(dec.groups):
-        members = list(group)
-        masses[r] = float(
-            np.sum(dec.eigenvectors[u, members] ** 2) + np.sum(dec.eigenvectors[v, members] ** 2)
-        )
-    return masses
-
-
 def two_level_candidate_time(dec: EigenDecomposition, u: int, v: int) -> float:
     """Half beat period of the two eigenvalue groups most localized on {u, v}.
 
@@ -114,9 +103,9 @@ def two_level_candidate_time(dec: EigenDecomposition, u: int, v: int) -> float:
     """
     if dec.n < 2 or len(dec.groups) < 2:
         raise DegenerateGapError("fewer than two eigenvalue groups; no beat frequency exists")
-    masses = group_localization(dec, u, v)
-    top_two = np.argsort(-masses, kind="stable")[:2]
-    gap = abs(dec.group_eigenvalue(int(top_two[0])) - dec.group_eigenvalue(int(top_two[1])))
+    projectors = spectral_projectors(dec)
+    first, second = np.argsort(-localization_mass(projectors, u, v), kind="stable")[:2]
+    gap = abs(projectors[first].eigenvalue - projectors[second].eigenvalue)
     if gap < DEGENERATE_GAP_SCALE * dec.spectral_range:
         raise DegenerateGapError(
             f"top localized groups are degenerate (gap {gap:.3e}); use a grid search"

@@ -8,6 +8,7 @@ RESIDUAL_SCALE * max(1, inf-norm).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,22 +54,35 @@ class EigenDecomposition:
     def spectral_range(self) -> float:
         return float(self.eigenvalues[-1] - self.eigenvalues[0])
 
-    def group_eigenvalue(self, group_index: int) -> float:
-        members = list(self.groups[group_index])
-        return float(np.mean(self.eigenvalues[members]))
-
 
 @dataclass(frozen=True)
 class SpectralProjector:
-    """Orthogonal projector onto one degeneracy group's eigenspace."""
+    """Orthogonal projector onto one degeneracy group's eigenspace.
+
+    Stored as the group's n x rank eigenvector columns."""
 
     eigenvalue: float
     indices: tuple[int, ...]
-    matrix: np.ndarray
+    vectors: np.ndarray
 
     @property
     def rank(self) -> int:
         return len(self.indices)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Dense n x n matrix, formed on first read."""
+        matrix = self.vectors @ self.vectors.T
+        matrix.setflags(write=False)
+        return matrix
+
+    def column(self, x: int) -> np.ndarray:
+        """P e_x."""
+        return self.vectors @ self.vectors[x]
+
+    def diagonal(self, x: int) -> float:
+        """(P)_{xx}, the squared norm of row x of the eigenvector columns."""
+        return float(np.sum(self.vectors[x] ** 2))
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -124,14 +138,18 @@ def spectral_projectors(decomposition: EigenDecomposition) -> list[SpectralProje
     out = []
     for group in decomposition.groups:
         members = list(group)
-        cols = decomposition.eigenvectors[:, members]
-        matrix = cols @ cols.T
-        matrix.setflags(write=False)
+        vectors = decomposition.eigenvectors[:, members]
+        vectors.setflags(write=False)
         out.append(
             SpectralProjector(
                 eigenvalue=float(np.mean(decomposition.eigenvalues[members])),
                 indices=group,
-                matrix=matrix,
+                vectors=vectors,
             )
         )
     return out
+
+
+def localization_mass(projectors: list[SpectralProjector], u: int, v: int) -> np.ndarray:
+    """(P_r)_{uu} + (P_r)_{vv} per group; large values flag eigenspaces living on the pair."""
+    return np.array([p.diagonal(u) + p.diagonal(v) for p in projectors])

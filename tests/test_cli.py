@@ -11,8 +11,11 @@ from glwalk import (
     eigendecompose,
     hamiltonian_matrix,
     path_graph,
+    cospectrality,
     two_level_candidate_time,
 )
+import glwalk.bounds
+import glwalk.cli
 from glwalk.cli import main
 
 
@@ -217,6 +220,33 @@ def test_analyze_path4_divergence(capsys) -> None:
     assert report["cospectrality_order"] == 1
     assert report["first_divergence"] == {"length": 2, "count_u": 1, "count_v": 2}
     assert report["involution"] is None
+
+
+def test_analyze_path200_divergence(capsys) -> None:
+    # the first divergence is at length 2; counting on to length 2n overflowed
+    code, out, _ = run_cli(capsys, "analyze", "--graph", "path:200", "--u", "0", "--v", "5")
+    assert code == 0
+    report = json.loads(out)
+    assert report["cospectrality_order"] == 1
+    assert report["first_divergence"] == {"length": 2, "count_u": 1, "count_v": 2}
+
+
+@pytest.mark.parametrize("graph, u, v", [("path:6", 0, 5), ("path:20", 3, 9)])
+def test_one_cospectrality_run_per_command(capsys, monkeypatch, graph, u, v) -> None:
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return cospectrality(*args)
+
+    monkeypatch.setattr(glwalk.cli, "cospectrality", counted)
+    monkeypatch.setattr(glwalk.bounds, "cospectrality", counted)
+    pair = ["--graph", graph, "--u", str(u), "--v", str(v)]
+    for argv in (["peak", "--model", "generalized:143"], ["bound", "--epsilon", "0.1"], ["analyze"]):
+        calls.clear()
+        code, _, _ = run_cli(capsys, *argv, *pair)
+        assert len(calls) <= 1, argv[0]
+        assert code == (2 if argv[0] == "bound" and graph == "path:20" else 0), argv[0]
 
 
 def test_analyze_bipartite(capsys) -> None:

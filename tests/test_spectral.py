@@ -103,6 +103,9 @@ def test_projector_contracts_random() -> None:
         for p in projectors:
             assert float(np.max(np.abs(p.matrix @ p.matrix - p.matrix))) <= tol
             assert np.allclose(p.matrix, p.matrix.T, atol=1e-14)
+            columns = np.column_stack([p.column(x) for x in range(n)])
+            diagonal = np.array([p.diagonal(x) for x in range(n)])
+            assert max(np.max(np.abs(columns - p.matrix)), np.max(np.abs(diagonal - np.diag(p.matrix)))) <= 1e-14
             total += p.matrix
         assert float(np.max(np.abs(total - np.eye(n)))) <= tol
         assert sum(p.rank for p in projectors) == n
