@@ -137,14 +137,13 @@ def spectral_projectors(decomposition: EigenDecomposition) -> list[SpectralProje
     """One projector per degeneracy group, ordered by eigenvalue."""
     out = []
     for group in decomposition.groups:
-        members = list(group)
-        vectors = decomposition.eigenvectors[:, members]
-        vectors.setflags(write=False)
+        # groups are runs of consecutive indices, so the columns are a view
+        members = slice(group[0], group[-1] + 1)
         out.append(
             SpectralProjector(
                 eigenvalue=float(np.mean(decomposition.eigenvalues[members])),
                 indices=group,
-                vectors=vectors,
+                vectors=decomposition.eigenvectors[:, members],
             )
         )
     return out
