@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .cospectral import cospectrality
+from .errors import ThresholdHypothesisError
 from .graphs import Graph
 from .hamiltonians import reduced_spec
 
@@ -39,10 +40,7 @@ class ThresholdInput:
         if self.distance < 1:
             raise ValueError("distance must be a positive integer")
         if self.cospectrality_order < self.distance:
-            raise ValueError(
-                f"threshold hypothesis needs cospectrality >= distance "
-                f"(got {self.cospectrality_order} < {self.distance})"
-            )
+            raise ThresholdHypothesisError(self.cospectrality_order, self.distance)
 
 
 @dataclass(frozen=True)
@@ -98,7 +96,9 @@ def k_threshold_two_class(graph: Graph, u: int, v: int, epsilon: float) -> Thres
     The loop-weight reduction maps the degree-scaling coefficient k to the
     effective loop weight q = k*(d1 - d2), so |k| > q_min / |d1 - d2|
     inherits the q_threshold guarantee. Cospectrality and distance are
-    computed from the graph.
+    computed from the graph, the walk count last, so every other input error
+    is raised before it; a cospectrality order below the distance raises
+    ThresholdHypothesisError, which carries the order.
     """
     _, q_unit = reduced_spec(graph, u, v, 1.0)
     distance = graph.distance(u, v)
@@ -107,8 +107,8 @@ def k_threshold_two_class(graph: Graph, u: int, v: int, epsilon: float) -> Thres
     inp = ThresholdInput(
         epsilon=epsilon,
         max_degree=graph.max_degree(),
-        cospectrality_order=cospectrality(graph, u, v).order,
+        cospectrality_order=math.inf,
         distance=int(distance),
     )
-    base = q_threshold(inp)
+    base = q_threshold(replace(inp, cospectrality_order=cospectrality(graph, u, v).order))
     return replace(base, k_min=base.q_min / abs(q_unit))

@@ -28,6 +28,7 @@ from .errors import (
     ConvergenceError,
     DegenerateGapError,
     InvolutionSearchLimitError,
+    ThresholdHypothesisError,
     WalkCountOverflowError,
 )
 from .graphs import Graph, complete_bipartite, cycle_graph, from_edge_list, path_graph
@@ -135,9 +136,10 @@ def _cmd_peak(args) -> None:
     peak = peak_fidelity(dec, args.u, args.v, strategy)
     try:
         res = k_threshold_two_class(graph, args.u, args.v, args.epsilon)
-    except ValueError:
-        threshold = None
-        order = cospectrality(graph, args.u, args.v).order
+    except ThresholdHypothesisError as exc:
+        threshold, order = None, exc.cospectrality_order
+    except ValueError:  # raised before any walk was counted
+        threshold, order = None, cospectrality(graph, args.u, args.v).order
     else:
         threshold = {"epsilon": args.epsilon, "q_min": res.q_min, "k_min": res.k_min, "t_bound": res.t_bound}
         order = res.cospectrality_order

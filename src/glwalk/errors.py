@@ -21,6 +21,16 @@ class DegreeStructureError(GlwalkError, ValueError):
     """Graph does not split into the two degree classes the loop-weight reduction needs."""
 
 
+class ThresholdHypothesisError(GlwalkError, ValueError):
+    """Cospectrality order below the pair's distance; no threshold guarantee applies."""
+
+    def __init__(self, order: int, distance: int):
+        self.cospectrality_order = order
+        super().__init__(
+            f"threshold hypothesis needs cospectrality >= distance (got {order} < {distance})"
+        )
+
+
 class ConvergenceError(GlwalkError, RuntimeError):
     """Symmetric eigensolver failed to converge."""
 

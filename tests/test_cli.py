@@ -231,8 +231,27 @@ def test_analyze_path200_divergence(capsys) -> None:
     assert report["first_divergence"] == {"length": 2, "count_u": 1, "count_v": 2}
 
 
-@pytest.mark.parametrize("graph, u, v", [("path:6", 0, 5), ("path:20", 3, 9)])
-def test_one_cospectrality_run_per_command(capsys, monkeypatch, graph, u, v) -> None:
+# two degree classes (0 and 5 have degree 3, every other vertex 2), but only 0
+# lies on a triangle: cospectrality order 2 is below the distance 3
+ORDER_BELOW_DISTANCE = "n=9\n0 1\n1 2\n2 0\n0 3\n3 4\n4 5\n5 6\n6 7\n7 8\n8 5\n"
+
+
+@pytest.mark.parametrize(
+    "graph, u, v, epsilon, bound_code",
+    [
+        pytest.param("path:6", 0, 5, "0.1", 0, id="path:6-0-5"),
+        pytest.param("path:20", 3, 9, "0.1", 2, id="path:20-3-9"),
+        pytest.param("path:6", 0, 5, "1.5", 2, id="path:6-0-5-epsilon-1.5"),
+        pytest.param(None, 0, 5, "0.1", 2, id="order-below-distance"),
+    ],
+)
+def test_one_cospectrality_run_per_command(
+    capsys, monkeypatch, tmp_path, graph, u, v, epsilon, bound_code
+) -> None:
+    if graph is None:
+        doc = tmp_path / "graph.txt"
+        doc.write_text(ORDER_BELOW_DISTANCE, encoding="utf-8")
+        graph = f"file:{doc}"
     calls = []
 
     def counted(*args):
@@ -242,11 +261,19 @@ def test_one_cospectrality_run_per_command(capsys, monkeypatch, graph, u, v) -> 
     monkeypatch.setattr(glwalk.cli, "cospectrality", counted)
     monkeypatch.setattr(glwalk.bounds, "cospectrality", counted)
     pair = ["--graph", graph, "--u", str(u), "--v", str(v)]
-    for argv in (["peak", "--model", "generalized:143"], ["bound", "--epsilon", "0.1"], ["analyze"]):
+    orders = {}
+    for argv in (
+        ["peak", "--model", "generalized:143", "--epsilon", epsilon],
+        ["bound", "--epsilon", epsilon],
+        ["analyze"],
+    ):
         calls.clear()
-        code, _, _ = run_cli(capsys, *argv, *pair)
+        code, out, _ = run_cli(capsys, *argv, *pair)
         assert len(calls) <= 1, argv[0]
-        assert code == (2 if argv[0] == "bound" and graph == "path:20" else 0), argv[0]
+        assert code == (bound_code if argv[0] == "bound" else 0), argv[0]
+        if code == 0:
+            orders[argv[0]] = json.loads(out)["cospectrality_order"]
+    assert orders["peak"] == orders["analyze"]
 
 
 def test_analyze_bipartite(capsys) -> None:

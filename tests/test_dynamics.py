@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from glwalk import (
     transfer_probability,
     two_level_candidate_time,
 )
+from glwalk.dynamics import _uniform_series
 from oracles import dense_peak, unitary_oracle
 
 
@@ -249,3 +251,49 @@ def test_amplitude_series_matches_pointwise() -> None:
     series = amplitude_series(dec, times, 0, 4)
     for t, amp in zip(times, series):
         assert cmath.isclose(amp, evolution_amplitude(dec, float(t), 0, 4), abs_tol=1e-13)
+
+
+@pytest.mark.parametrize("samples", [2, 3, 7, 100, 101, 1009, 10000])
+def test_uniform_series_matches_direct(samples) -> None:
+    rng = np.random.default_rng(71 + samples)
+    for _ in range(8):
+        g = random_graph(rng)
+        dec = _decompose(random_model(rng, g), g)
+        u, v = (int(x) for x in rng.integers(0, g.n, size=2))
+        # keep max|lambda| * t <= 1e3, where both forms round to about 1e-13
+        stop = float(rng.uniform(0.1, 1.0)) * 1e3 / max(float(np.max(np.abs(dec.eigenvalues))), 1.0)
+        for start in (0.0, float(rng.uniform(0.0, stop))):
+            times, series = _uniform_series(dec, u, v, start, stop, samples)
+            assert np.array_equal(times, np.linspace(start, stop, samples))
+            direct = amplitude_series(dec, times, u, v)
+            assert float(np.max(np.abs(series - direct))) <= 1e-12
+
+
+def test_uniform_series_within_phase_budget_on_refine_window() -> None:
+    # path:6 at k = 143: t* is about 6.6e8, so phases reach about 1e11 rad
+    dec = _decompose(Generalized(143.0), path_graph(6))
+    t_star = two_level_candidate_time(dec, 0, 5)
+    lo, hi = 0.5 * t_star, 1.5 * t_star
+    times, series = _uniform_series(dec, 0, 5, lo, hi, 2000)
+    budget = 4.0 * float(np.max(np.abs(dec.eigenvalues))) * hi * np.finfo(float).eps
+    assert float(np.max(np.abs(series - amplitude_series(dec, times, 0, 5)))) <= budget
+
+
+@pytest.mark.parametrize(
+    "n, search",
+    [
+        (60, lambda dec: peak_fidelity(dec, 0, 59, GridSearch(100.0, 100001))),
+        (200, lambda dec: fidelity_curve(dec, 0, 199, 100.0, 20000)),
+    ],
+    ids=["grid-peak-path:60", "fidelity-curve-path:200"],
+)
+def test_uniform_grid_memory_is_bounded(n, search) -> None:
+    # O(sqrt(S)*n + S) working set: a few MB, where S*n complex phases would take 100+ MB
+    dec = _decompose(Adjacency(), path_graph(n))
+    tracemalloc.start()
+    try:
+        search(dec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
