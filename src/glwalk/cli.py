@@ -26,6 +26,7 @@ from .cospectral import (
 from .dynamics import GridSearch, TwoLevelSearch, fidelity_curve, peak_fidelity
 from .errors import (
     ConvergenceError,
+    CospectralityMismatchError,
     DegenerateGapError,
     InvolutionSearchLimitError,
     ThresholdHypothesisError,
@@ -345,10 +346,17 @@ def main(argv=None) -> int:
         return EXIT_OK
     except UsageError as exc:
         return _fail("usage", exc, EXIT_USAGE)
-    except (DegenerateGapError, ConvergenceError, WalkCountOverflowError, OverflowError) as exc:
+    except (
+        DegenerateGapError,
+        ConvergenceError,
+        CospectralityMismatchError,
+        WalkCountOverflowError,
+        OverflowError,
+    ) as exc:
         kind = {
             DegenerateGapError: "degenerate-gap",
             ConvergenceError: "convergence",
+            CospectralityMismatchError: "cospectrality-mismatch",
         }.get(type(exc), "overflow")
         return _fail(kind, exc, EXIT_NUMERIC)
     except (ValueError, IndexError) as exc:

@@ -5,6 +5,8 @@ closed-walk counts from u and v agree for every length <= m. Counts are
 compared exactly up to length n-1: (A^k)_uu and (A^k)_vv both obey the
 recurrence of A's minimal polynomial, of order <= n, so agreement at lengths
 0..n-1 forces agreement at every length and any divergence shows below n.
+Counts advance in int64 while the next length cannot overflow and in Python
+ints after that, and stop with WalkCountOverflowError beyond 128 bits.
 An independent witness cross-checks the infinite verdict through the
 adjacency spectral projector diagonals.
 
@@ -22,9 +24,16 @@ from itertools import count, islice
 
 import numpy as np
 
-from .errors import InvolutionSearchLimitError, WalkCountOverflowError
+from .errors import CospectralityMismatchError, InvolutionSearchLimitError, WalkCountOverflowError
 from .graphs import Graph
-from .spectral import SpectralProjector, eigendecompose, spectral_projectors
+from .spectral import (
+    SpectralProjector,
+    eigendecompose,
+    group_sums,
+    pair_diagonals,
+    spectral_projectors,
+    stacked_columns,
+)
 
 #: Sentinel for an infinite cospectrality order (supports c >= d comparisons).
 INFINITE = math.inf
@@ -32,6 +41,7 @@ INFINITE = math.inf
 SIGN_TOL = 1e-7
 PROJECTOR_DIAG_TOL = 1e-7
 WALK_COUNT_MAX = 2**128 - 1
+INT64_MAX = 2**63 - 1
 INVOLUTION_SEARCH_MAX = 16
 
 
@@ -75,28 +85,47 @@ class CospectralityResult:
         return math.isinf(self.order)
 
 
-def _closed_walks(g: Graph, x: int) -> Iterator[int]:
-    # (A^k)_{xx} for k = 1, 2, ...; raises at the first k with a count beyond 128 bits
-    nbrs = g.adjacency_list()
-    vec = [0] * g.n
-    vec[x] = 1
+def _closed_walks(g: Graph, vertices: list[int]) -> Iterator[list[int]]:
+    # [(A^k)_{xx} for x in vertices] for k = 1, 2, ...; raises at the first k
+    # with a count beyond 128 bits. The state holds column vertices[j] of A^k
+    # at j*(n+1) .. j*(n+1) + n-1, then a zero that isolated vertices gather
+    # as their only neighbour and that gathers itself; one gather and one
+    # reduceat advance it a length. It is int64 while the next length cannot
+    # overflow (no entry of A @ state exceeds max degree times the largest
+    # entry of state) and holds Python ints from the first length that could.
+    nbrs = [row or (g.n,) for row in g.adjacency_list()] + [(g.n,)]
+    sizes = np.array([len(row) for row in nbrs])
+    neighbours = np.array([w for row in nbrs for w in row], dtype=np.intp)
+    columns = np.arange(len(vertices))[:, None]
+    gather = ((g.n + 1) * columns + neighbours).ravel()
+    starts = (len(neighbours) * columns + np.cumsum(sizes) - sizes).ravel()
+    positions = (g.n + 1) * columns.ravel() + vertices
+    max_degree = int(sizes.max())
+    state = np.zeros(len(vertices) * (g.n + 1), dtype=np.int64)
+    state[positions] = 1
+    largest = 1
     for k in count(1):
-        vec = [sum(vec[w] for w in nbrs[y]) for y in range(g.n)]
-        if max(vec, default=0) > WALK_COUNT_MAX:
+        if state.dtype != object and max_degree * largest > INT64_MAX:
+            state = state.astype(object)
+        np.add.reduceat(state[gather], starts, out=state)
+        largest = int(state.max())
+        if largest > WALK_COUNT_MAX:
             raise WalkCountOverflowError(k)
-        yield vec[x]
+        yield state[positions].tolist()
 
 
 def closed_walk_counts(g: Graph, x: int, k_max: int) -> list[int]:
     """Exact closed-walk counts (A^k)_{xx} for k = 1..k_max.
 
-    Integer arithmetic throughout; any count leaving the 128-bit range raises
-    WalkCountOverflowError naming the offending length.
+    Counts are exact: the walk vector A^k e_x advances in int64 while max
+    degree times its largest entry fits in int64, so the next length cannot
+    overflow, and in Python ints from there on. Any count leaving the
+    128-bit range raises WalkCountOverflowError naming the offending length.
     """
     g.check_vertex(x)
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    return list(islice(_closed_walks(g, x), k_max))
+    return [counts[0] for counts in islice(_closed_walks(g, [x]), k_max)]
 
 
 def cospectrality(g: Graph, u: int, v: int) -> CospectralityResult:
@@ -105,28 +134,30 @@ def cospectrality(g: Graph, u: int, v: int) -> CospectralityResult:
     Exact walk counts from u and v are compared in lockstep up to length n-1;
     the first disagreement yields the finite order and the diverging counts.
     Full agreement is certified as infinite after verifying
-    (P_r)_{uu} = (P_r)_{vv} on every adjacency spectral projector.
+    (P_r)_{uu} = (P_r)_{vv} on every adjacency spectral projector; a group
+    where they differ raises CospectralityMismatchError.
     """
     g.check_vertex(u)
     g.check_vertex(v)
     if u == v:
         raise ValueError("cospectrality needs two distinct vertices")
-    walks = zip(_closed_walks(g, u), _closed_walks(g, v))
-    for k, (cu, cv) in enumerate(islice(walks, g.n - 1), start=1):
+    for k, (cu, cv) in enumerate(islice(_closed_walks(g, [u, v]), g.n - 1), start=1):
         if cu != cv:
             return CospectralityResult(
                 order=k - 1,
                 first_divergence=WalkDivergence(length=k, count_u=cu, count_v=cv),
                 projector_cospectral=False,
             )
-    dec = eigendecompose(g.adjacency_matrix(with_loops=False))
-    for p in spectral_projectors(dec):
-        difference = abs(p.diagonal(u) - p.diagonal(v))
-        if difference > PROJECTOR_DIAG_TOL:
-            raise RuntimeError(
-                "walk counts and projector diagonals disagree; "
-                f"projector at eigenvalue {p.eigenvalue} differs by {difference:.3e}"
-            )
+    projectors = spectral_projectors(eigendecompose(g.adjacency_matrix(with_loops=False)))
+    diag_u, diag_v = pair_diagonals(projectors, u, v)
+    difference = np.abs(diag_u - diag_v)
+    mismatched = np.flatnonzero(difference > PROJECTOR_DIAG_TOL)
+    if mismatched.size:
+        r = mismatched[0]
+        raise CospectralityMismatchError(
+            "walk counts and projector diagonals disagree; "
+            f"projector at eigenvalue {projectors[r].eigenvalue} differs by {difference[r]:.3e}"
+        )
     return CospectralityResult(order=INFINITE, first_divergence=None, projector_cospectral=True)
 
 
@@ -134,15 +165,17 @@ def sign_pattern(
     projectors: list[SpectralProjector], u: int, v: int, tol: float = SIGN_TOL
 ) -> SignPattern:
     """Classify each eigenspace as PLUS, MINUS, NULL, or MIXED for the pair."""
+    vectors, ranks = stacked_columns(projectors)
+    # column r of pu is P_r e_u, of pv P_r e_v
+    pu, pv = group_sums(vectors * vectors[[u, v], None, :], ranks)
+    small = (np.max(np.abs([pu, pv, pu - pv, pu + pv]), axis=1) <= tol).tolist()
     signs = []
-    for p in projectors:
-        pu = p.column(u)
-        pv = p.column(v)
-        if np.max(np.abs(pu)) <= tol and np.max(np.abs(pv)) <= tol:
+    for null_u, null_v, plus, minus in zip(*small):
+        if null_u and null_v:
             signs.append(GroupSign.NULL)
-        elif np.max(np.abs(pu - pv)) <= tol:
+        elif plus:
             signs.append(GroupSign.PLUS)
-        elif np.max(np.abs(pu + pv)) <= tol:
+        elif minus:
             signs.append(GroupSign.MINUS)
         else:
             signs.append(GroupSign.MIXED)

@@ -39,6 +39,10 @@ class DegenerateGapError(GlwalkError, RuntimeError):
     """Two-level candidate time is undefined because the relevant eigenvalue gap vanishes."""
 
 
+class CospectralityMismatchError(GlwalkError, RuntimeError):
+    """Exact walk counts call a pair cospectral but its projector diagonals differ."""
+
+
 class WalkCountOverflowError(GlwalkError, OverflowError):
     """A closed-walk count left the supported 128-bit range."""
 

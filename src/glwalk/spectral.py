@@ -86,27 +86,20 @@ class SpectralProjector:
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    # make the first entry above SIGN_REFERENCE_TOL nonnegative, per column
-    for j in range(vectors.shape[1]):
-        col = vectors[:, j]
-        significant = np.nonzero(np.abs(col) > SIGN_REFERENCE_TOL)[0]
-        if significant.size and col[significant[0]] < 0:
-            vectors[:, j] = -col
+    # make the first entry above SIGN_REFERENCE_TOL nonnegative, per column;
+    # a column with no such entry is left as it is
+    significant = np.abs(vectors) > SIGN_REFERENCE_TOL
+    columns = np.arange(vectors.shape[1])
+    first = np.argmax(significant, axis=0)
+    flip = significant[first, columns] & (vectors[first, columns] < 0)
+    np.negative(vectors, out=vectors, where=flip)
     return vectors
 
 
 def _group_by_gap(eigenvalues: np.ndarray) -> tuple[tuple[int, ...], ...]:
     tol = grouping_tolerance(eigenvalues)
-    groups: list[tuple[int, ...]] = []
-    current = [0]
-    for j in range(1, len(eigenvalues)):
-        if eigenvalues[j] - eigenvalues[j - 1] <= tol:
-            current.append(j)
-        else:
-            groups.append(tuple(current))
-            current = [j]
-    groups.append(tuple(current))
-    return tuple(groups)
+    bounds = [0, *(np.flatnonzero(np.diff(eigenvalues) > tol) + 1).tolist(), len(eigenvalues)]
+    return tuple(tuple(range(a, b)) for a, b in zip(bounds, bounds[1:]))
 
 
 def eigendecompose(matrix: np.ndarray) -> EigenDecomposition:
@@ -133,22 +126,51 @@ def eigendecompose(matrix: np.ndarray) -> EigenDecomposition:
     )
 
 
+def group_sums(values: np.ndarray, sizes) -> np.ndarray:
+    """Sums over consecutive runs of sizes[r] entries along the last axis.
+
+    Each sum is bit-identical to np.sum of its run. np.add.reduceat starts a
+    run from its first entry and adds the rest pairwise, while np.sum adds
+    the whole run to zero pairwise, so a zero goes in front of every run.
+    """
+    sizes = np.asarray(sizes)
+    runs = np.arange(len(sizes))
+    # every entry moves right by one slot per run that starts at or before it
+    shifted = np.arange(values.shape[-1]) + np.repeat(runs + 1, sizes)
+    padded = np.zeros(values.shape[:-1] + (values.shape[-1] + len(sizes),))
+    padded[..., shifted] = values
+    return np.add.reduceat(padded, np.cumsum(sizes) - sizes + runs, axis=-1)
+
+
 def spectral_projectors(decomposition: EigenDecomposition) -> list[SpectralProjector]:
     """One projector per degeneracy group, ordered by eigenvalue."""
-    out = []
-    for group in decomposition.groups:
-        # groups are runs of consecutive indices, so the columns are a view
-        members = slice(group[0], group[-1] + 1)
-        out.append(
-            SpectralProjector(
-                eigenvalue=float(np.mean(decomposition.eigenvalues[members])),
-                indices=group,
-                vectors=decomposition.eigenvectors[:, members],
-            )
+    groups = decomposition.groups
+    sizes = [len(group) for group in groups]
+    # np.mean of each group is its np.sum over its size
+    means = group_sums(decomposition.eigenvalues, sizes) / sizes
+    # groups are runs of consecutive indices, so the columns are a view
+    return [
+        SpectralProjector(
+            eigenvalue=mean,
+            indices=group,
+            vectors=decomposition.eigenvectors[:, group[0] : group[-1] + 1],
         )
-    return out
+        for group, mean in zip(groups, means.tolist())
+    ]
+
+
+def stacked_columns(projectors: list[SpectralProjector]) -> tuple[np.ndarray, list[int]]:
+    """The projectors' eigenvector columns side by side, and each projector's rank."""
+    return np.concatenate([p.vectors for p in projectors], axis=1), [p.rank for p in projectors]
+
+
+def pair_diagonals(projectors: list[SpectralProjector], u: int, v: int) -> np.ndarray:
+    """2 x groups array of (P_r)_{uu} and (P_r)_{vv}, equal to each projector's diagonal()."""
+    vectors, ranks = stacked_columns(projectors)
+    return group_sums(vectors[[u, v]] ** 2, ranks)
 
 
 def localization_mass(projectors: list[SpectralProjector], u: int, v: int) -> np.ndarray:
     """(P_r)_{uu} + (P_r)_{vv} per group; large values flag eigenspaces living on the pair."""
-    return np.array([p.diagonal(u) + p.diagonal(v) for p in projectors])
+    diag_u, diag_v = pair_diagonals(projectors, u, v)
+    return diag_u + diag_v

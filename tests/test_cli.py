@@ -16,6 +16,7 @@ from glwalk import (
 )
 import glwalk.bounds
 import glwalk.cli
+import glwalk.cospectral
 from glwalk.cli import main
 
 
@@ -322,6 +323,33 @@ def test_missing_graph_file_is_io_error(capsys, tmp_path) -> None:
     )
     assert code == 4
     assert json.loads(err)["error"]["type"] == "io"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze"],
+        ["bound", "--epsilon", "0.1"],
+        ["peak", "--model", "generalized:143"],
+    ],
+    ids=["analyze", "bound", "peak"],
+)
+def test_projector_cross_check_mismatch_is_numeric_error(capsys, monkeypatch, argv) -> None:
+    # walk counts call path:6 endpoints cospectral; make every projector diagonal disagree
+    real = glwalk.cospectral.pair_diagonals
+
+    def skewed(projectors, u, v):
+        diagonals = real(projectors, u, v)
+        diagonals[0] += 1e-3
+        return diagonals
+
+    monkeypatch.setattr(glwalk.cospectral, "pair_diagonals", skewed)
+    code, out, err = run_cli(capsys, *argv, "--graph", "path:6", "--u", "0", "--v", "5")
+    assert code == 3
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "cospectrality-mismatch"
+    assert "differs by 1.000e-03" in error["message"]
 
 
 def test_bad_flags_exit_2(capsys) -> None:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -25,8 +27,8 @@ from glwalk import (
     spectral_projectors,
     verify_involution,
 )
-from glwalk.cospectral import PROJECTOR_DIAG_TOL, parse_permutation
-from oracles import walk_count_oracle
+from glwalk.cospectral import INT64_MAX, PROJECTOR_DIAG_TOL, WALK_COUNT_MAX, parse_permutation
+from oracles import integer_adjacency, walk_count_oracle
 
 
 def _adjacency_projectors(g: Graph):
@@ -70,6 +72,79 @@ def test_walk_count_overflow_reported() -> None:
     with pytest.raises(WalkCountOverflowError) as err:
         closed_walk_counts(dense, 0, 90)
     assert 1 <= err.value.length <= 90
+    assert err.value.length == _first_length_beyond_128_bits(dense)
+
+
+def _first_length_beyond_128_bits(g: Graph) -> int:
+    # first k whose A^k has an entry beyond 128 bits, from exact integer matrix powers
+    a = np.array(integer_adjacency(g), dtype=object)
+    power, k = a, 1
+    while max(power.flat) <= WALK_COUNT_MAX:
+        power, k = power @ a, k + 1
+    return k
+
+
+def test_walk_count_overflow_length_on_slow_growth() -> None:
+    # counts here grow by at most about 3.5x per length (2x on the cycle), so a
+    # threshold off by a factor of two would change the reported length
+    for g in (cycle_graph(8), complete_bipartite(3, 4)):
+        with pytest.raises(WalkCountOverflowError) as err:
+            closed_walk_counts(g, 0, 400)
+        assert err.value.length == _first_length_beyond_128_bits(g)
+
+
+def _random_graph_with_degree(seed: int, min_degree: int, k_max: int) -> Graph:
+    # a seeded G(n, p) with maximum degree >= min_degree whose counts stay in 128 bits to k_max
+    rng = np.random.default_rng(seed)
+    while True:
+        g = random_graph(rng, n_max=12, allow_loops=False)
+        if g.num_edges and g.max_degree() >= min_degree:
+            radius = float(np.max(np.abs(np.linalg.eigvalsh(g.adjacency_matrix()))))
+            if radius**k_max < 2.0**120:
+                return g
+
+
+def _int64_switch_cases() -> list[tuple[Graph, int]]:
+    return [
+        (complete_bipartite(10, 10), 38),
+        (cycle_graph(24), 80),
+        (_random_graph_with_degree(89, 6, 40), 40),
+    ]
+
+
+def test_walk_counts_across_int64_switch_match_oracle() -> None:
+    for g, k_max in _int64_switch_cases():
+        for x in range(min(g.n, 4)):
+            counts = closed_walk_counts(g, x, k_max)
+            assert counts == walk_count_oracle(g, x, k_max)
+            assert all(type(c) is int for c in counts)
+        # the counts pass the int64 guard inside the compared range
+        assert g.max_degree() * max(counts) > INT64_MAX
+
+
+def _oracle_cospectrality(g: Graph, u: int, v: int) -> tuple[float, tuple | None]:
+    counts_u = walk_count_oracle(g, u, g.n - 1)
+    counts_v = walk_count_oracle(g, v, g.n - 1)
+    for k, (cu, cv) in enumerate(zip(counts_u, counts_v), start=1):
+        if cu != cv:
+            return k - 1, (k, cu, cv)
+    return math.inf, None
+
+
+def test_cospectrality_across_int64_switch_matches_oracle() -> None:
+    cases = [g for g, _ in _int64_switch_cases()] + [complete_bipartite(12, 12)]
+    for g in cases:
+        pairs = [(0, 1), (0, g.n - 1), (1, g.n // 2)]
+        for u, v in pairs:
+            result = cospectrality(g, u, v)
+            order, divergence = _oracle_cospectrality(g, u, v)
+            assert result.order == order
+            if divergence is None:
+                assert result.first_divergence is None
+            else:
+                got = result.first_divergence
+                assert (got.length, got.count_u, got.count_v) == divergence
+                assert type(got.count_u) is int and type(got.count_v) is int
 
 
 def test_cospectrality_path6_endpoints_infinite() -> None:

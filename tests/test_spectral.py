@@ -5,9 +5,26 @@ import math
 import numpy as np
 import pytest
 
-from glwalk import complete_bipartite, eigendecompose, path_graph, spectral_projectors
+from generators import random_graph, random_model, structured_graph
+from glwalk import (
+    Adjacency,
+    Generalized,
+    GroupSign,
+    HamiltonianSpec,
+    complete_bipartite,
+    cycle_graph,
+    eigendecompose,
+    hamiltonian_matrix,
+    localization_mass,
+    path_graph,
+    sign_pattern,
+    spectral_projectors,
+)
+from glwalk.cospectral import SIGN_TOL
 from glwalk.spectral import (
     ORTHONORMALITY_TOL,
+    SIGN_REFERENCE_TOL,
+    _fix_signs,
     grouping_tolerance,
     residual_tolerance,
 )
@@ -132,3 +149,69 @@ def test_sign_convention_is_deterministic() -> None:
         col = first.eigenvectors[:, j]
         lead = col[np.abs(col) > 1e-8][0]
         assert lead >= 0.0
+
+
+def test_fix_signs_flips_by_first_significant_entry() -> None:
+    vectors = np.array(
+        [
+            [-1e-9, 0.0, -0.5, 0.6],
+            [2e-9, -0.3, 0.2, -0.8],
+            [-5e-9, 0.1, 0.0, 0.0],
+        ]
+    )
+    fixed = _fix_signs(vectors.copy())
+    # no entry above SIGN_REFERENCE_TOL: left unchanged
+    assert np.array_equal(fixed[:, 0], vectors[:, 0])
+    assert np.array_equal(fixed[:, 1:3], -vectors[:, 1:3])
+    assert np.array_equal(fixed[:, 3], vectors[:, 3])
+    rng = np.random.default_rng(113)
+    for _ in range(20):
+        n = int(rng.integers(1, 13))
+        vectors = eigendecompose(_random_symmetric(rng, n)).eigenvectors
+        for j in range(n):
+            column = vectors[:, j]
+            assert column[np.abs(column) > SIGN_REFERENCE_TOL][0] >= 0.0
+
+
+def _reference_signs(projectors, u, v) -> tuple[GroupSign, ...]:
+    signs = []
+    for p in projectors:
+        pu, pv = p.column(u), p.column(v)
+        if np.max(np.abs(pu)) <= SIGN_TOL and np.max(np.abs(pv)) <= SIGN_TOL:
+            signs.append(GroupSign.NULL)
+        elif np.max(np.abs(pu - pv)) <= SIGN_TOL:
+            signs.append(GroupSign.PLUS)
+        elif np.max(np.abs(pu + pv)) <= SIGN_TOL:
+            signs.append(GroupSign.MINUS)
+        else:
+            signs.append(GroupSign.MIXED)
+    return tuple(signs)
+
+
+def _reduction_cases():
+    rng = np.random.default_rng(127)
+    for _ in range(40):
+        g = structured_graph(rng) if rng.random() < 0.5 else random_graph(rng)
+        yield g, random_model(rng, g)
+    # degenerate groups: 2 members (cycles), 10 and 18 (the zero eigenspace of
+    # K_{3,9} and K_{10,10}), 8 and 2 (K_{3,9} at k = 0.5)
+    for g in (cycle_graph(24), cycle_graph(31), complete_bipartite(3, 9), complete_bipartite(10, 10)):
+        yield g, Adjacency()
+    yield complete_bipartite(3, 9), Generalized(0.5)
+    yield path_graph(6), Generalized(143.0)
+
+
+def test_group_reductions_equal_per_group_reference() -> None:
+    sizes = set()
+    for g, model in _reduction_cases():
+        dec = eigendecompose(hamiltonian_matrix(HamiltonianSpec(model, g)))
+        projectors = spectral_projectors(dec)
+        sizes.update(p.rank for p in projectors)
+        for p in projectors:
+            assert p.eigenvalue == float(np.mean(dec.eigenvalues[list(p.indices)]))
+        for u in range(g.n):
+            for v in range(u + 1, g.n):
+                masses = localization_mass(projectors, u, v)
+                assert masses.tolist() == [p.diagonal(u) + p.diagonal(v) for p in projectors]
+                assert sign_pattern(projectors, u, v).signs == _reference_signs(projectors, u, v)
+    assert {1, 2, 8, 10, 18} <= sizes
