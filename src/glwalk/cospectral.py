@@ -32,7 +32,6 @@ from .spectral import (
     group_sums,
     pair_diagonals,
     spectral_projectors,
-    stacked_columns,
 )
 
 #: Sentinel for an infinite cospectrality order (supports c >= d comparisons).
@@ -165,9 +164,9 @@ def sign_pattern(
     projectors: list[SpectralProjector], u: int, v: int, tol: float = SIGN_TOL
 ) -> SignPattern:
     """Classify each eigenspace as PLUS, MINUS, NULL, or MIXED for the pair."""
-    vectors, ranks = stacked_columns(projectors)
+    vectors = np.concatenate([p.vectors for p in projectors], axis=1)
     # column r of pu is P_r e_u, of pv P_r e_v
-    pu, pv = group_sums(vectors * vectors[[u, v], None, :], ranks)
+    pu, pv = group_sums(vectors * vectors[[u, v], None, :], [p.rank for p in projectors])
     small = (np.max(np.abs([pu, pv, pu - pv, pu + pv]), axis=1) <= tol).tolist()
     signs = []
     for null_u, null_v, plus, minus in zip(*small):

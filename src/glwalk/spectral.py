@@ -159,15 +159,11 @@ def spectral_projectors(decomposition: EigenDecomposition) -> list[SpectralProje
     ]
 
 
-def stacked_columns(projectors: list[SpectralProjector]) -> tuple[np.ndarray, list[int]]:
-    """The projectors' eigenvector columns side by side, and each projector's rank."""
-    return np.concatenate([p.vectors for p in projectors], axis=1), [p.rank for p in projectors]
-
-
 def pair_diagonals(projectors: list[SpectralProjector], u: int, v: int) -> np.ndarray:
     """2 x groups array of (P_r)_{uu} and (P_r)_{vv}, equal to each projector's diagonal()."""
-    vectors, ranks = stacked_columns(projectors)
-    return group_sums(vectors[[u, v]] ** 2, ranks)
+    # rows u and v only; stacking whole columns would copy n x n entries
+    rows = np.concatenate([p.vectors[u] for p in projectors] + [p.vectors[v] for p in projectors])
+    return group_sums(rows.reshape(2, -1) ** 2, [p.rank for p in projectors])
 
 
 def localization_mass(projectors: list[SpectralProjector], u: int, v: int) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Golden corpus of glwalk CLI runs, for byte-identity checks between two trees.
 
-    python3 tools/golden.py --out golden.json [--src DIR] [--jobs N]
+    python3 tools/golden.py --out golden.json [--src DIR]
     python3 tools/golden.py --compare A.json B.json
 
 The first form runs every command of a fixed corpus through
@@ -28,6 +28,8 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 REPO_SRC = Path(__file__).resolve().parent.parent / "src"
+#: commands run at once; each is a short single-threaded process
+WORKERS = 2
 
 #: edge-list files written into the working directory: name -> (n, p, seed)
 GNP_FILES = {"gnp12.txt": (12, 0.35, 12), "gnp30.txt": (30, 0.2, 30), "gnp150.txt": (150, 10 / 150, 150)}
@@ -133,7 +135,7 @@ def corpus() -> list[str]:
     return commands + EXTRA
 
 
-def run_corpus(src: Path, jobs: int) -> dict[str, list]:
+def run_corpus(src: Path) -> dict[str, list]:
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     with tempfile.TemporaryDirectory() as workdir:
         for name, (n, p, seed) in GNP_FILES.items():
@@ -147,7 +149,7 @@ def run_corpus(src: Path, jobs: int) -> dict[str, list]:
             return [proc.returncode, proc.stdout, proc.stderr]
 
         commands = corpus()
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+        with ThreadPoolExecutor(max_workers=WORKERS) as pool:
             results = list(pool.map(run, commands))
     return dict(zip(commands, results))
 
@@ -160,7 +162,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, help="write the corpus results here")
     parser.add_argument("--src", type=Path, default=REPO_SRC, help="directory that holds the glwalk package")
-    parser.add_argument("--jobs", type=int, default=2, help="commands run at once")
     parser.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"))
     args = parser.parse_args(argv)
     if args.compare:
@@ -172,7 +173,7 @@ def main(argv=None) -> int:
         return 1 if differing else 0
     if args.out is None:
         parser.error("give --out FILE to run the corpus, or --compare A B")
-    results = run_corpus(args.src.resolve(), args.jobs)
+    results = run_corpus(args.src.resolve())
     args.out.write_text(json.dumps(results, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     exits = sorted({result[0] for result in results.values()})
     print(f"{len(results)} commands, exit codes {exits}", file=sys.stderr)
