@@ -9,6 +9,7 @@ stderr and exit with 2 (validation), 3 (numeric), or 4 (I/O).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -34,7 +35,7 @@ from .errors import (
 )
 from .graphs import Graph, complete_bipartite, cycle_graph, from_edge_list, path_graph
 from .hamiltonians import Generalized, HamiltonianSpec, hamiltonian_matrix, parse_model
-from .spectral import eigendecompose, localization_mass, spectral_projectors
+from .spectral import eigendecompose, localization_mass
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -144,9 +145,8 @@ def _cmd_peak(args) -> None:
     else:
         threshold = {"epsilon": args.epsilon, "q_min": res.q_min, "k_min": res.k_min, "t_bound": res.t_bound}
         order = res.cospectrality_order
-    projectors = spectral_projectors(dec)
-    signs = sign_pattern(projectors, args.u, args.v)
-    masses = localization_mass(projectors, args.u, args.v)
+    signs = sign_pattern(dec, args.u, args.v)
+    masses = localization_mass(dec, args.u, args.v)
     top_masses = sorted((float(m) for m in masses), reverse=True)[:2]
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -169,12 +169,12 @@ def _cmd_peak(args) -> None:
 def _cmd_sweep(args) -> None:
     graph = parse_graph(args.graph)
     _check_pair(graph, args.u, args.v, distinct=True)
+    if args.steps < 1:
+        raise UsageError("--steps must be at least 1")
     k_min_threshold = None
     if args.threshold or args.epsilon is not None:
         epsilon = args.epsilon if args.epsilon is not None else 0.1
         k_min_threshold = k_threshold_two_class(graph, args.u, args.v, epsilon).k_min
-    if args.steps < 1:
-        raise UsageError("--steps must be at least 1")
     ks = np.linspace(args.kmin, args.kmax, args.steps)
     header = "k,fidelity,t_star"
     if k_min_threshold is not None:
@@ -244,8 +244,7 @@ def _cmd_analyze(args) -> None:
     graph = parse_graph(args.graph)
     _check_pair(graph, args.u, args.v, distinct=True)
     cos = cospectrality(graph, args.u, args.v)
-    dec = eigendecompose(graph.adjacency_matrix(with_loops=False))
-    signs = sign_pattern(spectral_projectors(dec), args.u, args.v)
+    signs = sign_pattern(eigendecompose(graph.adjacency_matrix(with_loops=False)), args.u, args.v)
     involution = None
     searched = False
     if args.involution is not None:
@@ -282,6 +281,7 @@ def _cmd_analyze(args) -> None:
     _write(json.dumps(report, indent=2) + "\n", args.out)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="glwalk", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -26,13 +26,7 @@ import numpy as np
 
 from .errors import CospectralityMismatchError, InvolutionSearchLimitError, WalkCountOverflowError
 from .graphs import Graph
-from .spectral import (
-    SpectralProjector,
-    eigendecompose,
-    group_sums,
-    pair_diagonals,
-    spectral_projectors,
-)
+from .spectral import EigenDecomposition, eigendecompose, group_eigenvalues, group_sums, pair_diagonals
 
 #: Sentinel for an infinite cospectrality order (supports c >= d comparisons).
 INFINITE = math.inf
@@ -147,26 +141,24 @@ def cospectrality(g: Graph, u: int, v: int) -> CospectralityResult:
                 first_divergence=WalkDivergence(length=k, count_u=cu, count_v=cv),
                 projector_cospectral=False,
             )
-    projectors = spectral_projectors(eigendecompose(g.adjacency_matrix(with_loops=False)))
-    diag_u, diag_v = pair_diagonals(projectors, u, v)
+    dec = eigendecompose(g.adjacency_matrix(with_loops=False))
+    diag_u, diag_v = pair_diagonals(dec, u, v)
     difference = np.abs(diag_u - diag_v)
     mismatched = np.flatnonzero(difference > PROJECTOR_DIAG_TOL)
     if mismatched.size:
         r = mismatched[0]
         raise CospectralityMismatchError(
             "walk counts and projector diagonals disagree; "
-            f"projector at eigenvalue {projectors[r].eigenvalue} differs by {difference[r]:.3e}"
+            f"projector at eigenvalue {float(group_eigenvalues(dec)[r])} differs by {difference[r]:.3e}"
         )
     return CospectralityResult(order=INFINITE, first_divergence=None, projector_cospectral=True)
 
 
-def sign_pattern(
-    projectors: list[SpectralProjector], u: int, v: int, tol: float = SIGN_TOL
-) -> SignPattern:
+def sign_pattern(dec: EigenDecomposition, u: int, v: int, tol: float = SIGN_TOL) -> SignPattern:
     """Classify each eigenspace as PLUS, MINUS, NULL, or MIXED for the pair."""
-    vectors = np.concatenate([p.vectors for p in projectors], axis=1)
+    vectors = dec.eigenvectors
     # column r of pu is P_r e_u, of pv P_r e_v
-    pu, pv = group_sums(vectors * vectors[[u, v], None, :], [p.rank for p in projectors])
+    pu, pv = group_sums(vectors * vectors[[u, v], None, :], dec.group_sizes)
     small = (np.max(np.abs([pu, pv, pu - pv, pu + pv]), axis=1) <= tol).tolist()
     signs = []
     for null_u, null_v, plus, minus in zip(*small):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGapError
-from .spectral import EigenDecomposition, localization_mass, spectral_projectors
+from .spectral import EigenDecomposition, group_eigenvalues, localization_mass
 
 # gap below this fraction of the spectral range counts as degenerate
 DEGENERATE_GAP_SCALE = 1e-13
@@ -128,9 +128,9 @@ def two_level_candidate_time(dec: EigenDecomposition, u: int, v: int) -> float:
     """
     if dec.n < 2 or len(dec.groups) < 2:
         raise DegenerateGapError("fewer than two eigenvalue groups; no beat frequency exists")
-    projectors = spectral_projectors(dec)
-    first, second = np.argsort(-localization_mass(projectors, u, v), kind="stable")[:2]
-    gap = abs(projectors[first].eigenvalue - projectors[second].eigenvalue)
+    first, second = np.argsort(-localization_mass(dec, u, v), kind="stable")[:2]
+    eigenvalues = group_eigenvalues(dec)
+    gap = float(abs(eigenvalues[first] - eigenvalues[second]))
     if gap < DEGENERATE_GAP_SCALE * dec.spectral_range:
         raise DegenerateGapError(
             f"top localized groups are degenerate (gap {gap:.3e}); use a grid search"

@@ -1,16 +1,19 @@
 """Hamiltonian matrices for the walk models built from a graph.
 
-Every model carries the physics sign convention H = -(matrix of the model):
-adjacency -> -A, Laplacian -> -A + D, signless -> -(A + D),
-generalized -> -(A + k*D), loop-perturbed -> -(A + q*(E_u + E_v)).
-Pre-existing loop weights of the graph fold into the diagonal of A in all
-models, so a loop-perturbed model on a plain graph equals the adjacency
-model on the same graph with those loop weights attached.
+Every model carries the physics sign convention H = -(matrix of the model).
+The walk models form one family, generalized -> -(A + k*D); adjacency
+(k = 0), signless Laplacian (k = 1) and Laplacian (k = -1) are its members
+named in NAMED_K, and the Laplacian is -(A - D) = D - A. The loop-perturbed
+model is -(A + q*(E_u + E_v)). Pre-existing loop weights of the graph fold
+into the diagonal of A in all models, so a loop-perturbed model on a plain
+graph equals the adjacency model on the same graph with those loop weights
+attached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Union
 
 import numpy as np
@@ -18,20 +21,8 @@ import numpy as np
 from .errors import DegreeStructureError
 from .graphs import Graph
 
-
-@dataclass(frozen=True)
-class Adjacency:
-    pass
-
-
-@dataclass(frozen=True)
-class Laplacian:
-    pass
-
-
-@dataclass(frozen=True)
-class SignlessLaplacian:
-    pass
+#: members of the generalized family with a name of their own
+NAMED_K = {"adjacency": 0.0, "laplacian": -1.0, "signless": 1.0}
 
 
 @dataclass(frozen=True)
@@ -39,6 +30,11 @@ class Generalized:
     """Degree-scaled family A + k*D; k=0 is adjacency, k=1 signless, k=-1 Laplacian."""
 
     k: float
+
+
+Adjacency = partial(Generalized, NAMED_K["adjacency"])
+Laplacian = partial(Generalized, NAMED_K["laplacian"])
+SignlessLaplacian = partial(Generalized, NAMED_K["signless"])
 
 
 @dataclass(frozen=True)
@@ -54,7 +50,7 @@ class LoopPerturbed:
             raise ValueError("loop perturbation needs two distinct vertices")
 
 
-Model = Union[Adjacency, Laplacian, SignlessLaplacian, Generalized, LoopPerturbed]
+Model = Union[Generalized, LoopPerturbed]
 
 
 @dataclass(frozen=True)
@@ -68,13 +64,7 @@ def hamiltonian_matrix(spec: HamiltonianSpec) -> np.ndarray:
     g = spec.graph
     a = g.adjacency_matrix()
     model = spec.model
-    if isinstance(model, Adjacency):
-        h = -a
-    elif isinstance(model, Laplacian):
-        h = -a + np.diag(g.degree_vector().astype(float))
-    elif isinstance(model, SignlessLaplacian):
-        h = -(a + np.diag(g.degree_vector().astype(float)))
-    elif isinstance(model, Generalized):
+    if isinstance(model, Generalized):
         h = -(a + model.k * np.diag(g.degree_vector().astype(float)))
     elif isinstance(model, LoopPerturbed):
         g.check_vertex(model.u)
@@ -131,12 +121,8 @@ def parse_model(text: str) -> Model:
     "loops:<u>,<v>,<q>" (decimal reals, scientific notation accepted).
     """
     t = text.strip()
-    if t == "adjacency":
-        return Adjacency()
-    if t == "laplacian":
-        return Laplacian()
-    if t == "signless":
-        return SignlessLaplacian()
+    if t in NAMED_K:
+        return Generalized(NAMED_K[t])
     if t.startswith("generalized:"):
         try:
             return Generalized(k=float(t.removeprefix("generalized:")))
@@ -153,16 +139,18 @@ def parse_model(text: str) -> Model:
     raise ValueError(f"unknown model {text!r}")
 
 
+def _real(x: float) -> str:
+    # shortest text that parses back to x, without a trailing ".0"
+    return repr(float(x)).removesuffix(".0")
+
+
 def model_name(model: Model) -> str:
     """Inverse of parse_model, used for deterministic reports."""
-    if isinstance(model, Adjacency):
-        return "adjacency"
-    if isinstance(model, Laplacian):
-        return "laplacian"
-    if isinstance(model, SignlessLaplacian):
-        return "signless"
     if isinstance(model, Generalized):
-        return f"generalized:{model.k:g}"
+        for name, k in NAMED_K.items():
+            if model.k == k:
+                return name
+        return f"generalized:{_real(model.k)}"
     if isinstance(model, LoopPerturbed):
-        return f"loops:{model.u},{model.v},{model.q:g}"
+        return f"loops:{model.u},{model.v},{_real(model.q)}"
     raise TypeError(f"unknown model {model!r}")

@@ -39,7 +39,8 @@ class EigenDecomposition:
     """Ascending eigenvalues, orthonormal column eigenvectors, degeneracy groups.
 
     groups partitions 0..n-1 into runs of (numerically) equal eigenvalues,
-    ordered by eigenvalue.
+    ordered by eigenvalue, so the columns of a group are consecutive and
+    per-group reductions run over the eigenvector columns in order.
     """
 
     eigenvalues: np.ndarray
@@ -53,6 +54,10 @@ class EigenDecomposition:
     @property
     def spectral_range(self) -> float:
         return float(self.eigenvalues[-1] - self.eigenvalues[0])
+
+    @property
+    def group_sizes(self) -> list[int]:
+        return [len(group) for group in self.groups]
 
 
 @dataclass(frozen=True)
@@ -142,12 +147,15 @@ def group_sums(values: np.ndarray, sizes) -> np.ndarray:
     return np.add.reduceat(padded, np.cumsum(sizes) - sizes + runs, axis=-1)
 
 
+def group_eigenvalues(decomposition: EigenDecomposition) -> np.ndarray:
+    """Mean eigenvalue of each degeneracy group, ordered by eigenvalue."""
+    sizes = decomposition.group_sizes
+    # np.mean of each group is its np.sum over its size
+    return group_sums(decomposition.eigenvalues, sizes) / sizes
+
+
 def spectral_projectors(decomposition: EigenDecomposition) -> list[SpectralProjector]:
     """One projector per degeneracy group, ordered by eigenvalue."""
-    groups = decomposition.groups
-    sizes = [len(group) for group in groups]
-    # np.mean of each group is its np.sum over its size
-    means = group_sums(decomposition.eigenvalues, sizes) / sizes
     # groups are runs of consecutive indices, so the columns are a view
     return [
         SpectralProjector(
@@ -155,18 +163,16 @@ def spectral_projectors(decomposition: EigenDecomposition) -> list[SpectralProje
             indices=group,
             vectors=decomposition.eigenvectors[:, group[0] : group[-1] + 1],
         )
-        for group, mean in zip(groups, means.tolist())
+        for group, mean in zip(decomposition.groups, group_eigenvalues(decomposition).tolist())
     ]
 
 
-def pair_diagonals(projectors: list[SpectralProjector], u: int, v: int) -> np.ndarray:
+def pair_diagonals(decomposition: EigenDecomposition, u: int, v: int) -> np.ndarray:
     """2 x groups array of (P_r)_{uu} and (P_r)_{vv}, equal to each projector's diagonal()."""
-    # rows u and v only; stacking whole columns would copy n x n entries
-    rows = np.concatenate([p.vectors[u] for p in projectors] + [p.vectors[v] for p in projectors])
-    return group_sums(rows.reshape(2, -1) ** 2, [p.rank for p in projectors])
+    return group_sums(decomposition.eigenvectors[[u, v]] ** 2, decomposition.group_sizes)
 
 
-def localization_mass(projectors: list[SpectralProjector], u: int, v: int) -> np.ndarray:
+def localization_mass(decomposition: EigenDecomposition, u: int, v: int) -> np.ndarray:
     """(P_r)_{uu} + (P_r)_{vv} per group; large values flag eigenspaces living on the pair."""
-    diag_u, diag_v = pair_diagonals(projectors, u, v)
+    diag_u, diag_v = pair_diagonals(decomposition, u, v)
     return diag_u + diag_v

@@ -167,8 +167,9 @@ def test_criterion_6_bipartite_threshold_and_dynamics() -> None:
 def _per_eigenvector_signs_hold(g, u: int, v: int) -> bool:
     # basis-independent reading of the per-eigenvector sign property: equal
     # projector diagonals per group; rank-1 groups must classify PLUS/MINUS/NULL
-    projectors = spectral_projectors(eigendecompose(g.adjacency_matrix(with_loops=False)))
-    pattern = sign_pattern(projectors, u, v)
+    dec = eigendecompose(g.adjacency_matrix(with_loops=False))
+    projectors = spectral_projectors(dec)
+    pattern = sign_pattern(dec, u, v)
     for p, sign in zip(projectors, pattern.signs):
         if abs(p.matrix[u, u] - p.matrix[v, v]) > PROJECTOR_DIAG_TOL:
             return False

@@ -17,6 +17,8 @@ from glwalk import (
 import glwalk.bounds
 import glwalk.cli
 import glwalk.cospectral
+import glwalk.dynamics
+import glwalk.spectral
 from glwalk.cli import main
 
 
@@ -173,6 +175,17 @@ def test_sweep_structure_error_when_threshold_requested(capsys) -> None:
         "--kmin", "0", "--kmax", "10", "--steps", "2", "--epsilon", "0.1",
     )
     assert code == 2
+
+
+def test_sweep_checks_steps_before_counting_walks(capsys) -> None:
+    # the threshold would count walks on path:200 to length 136 and overflow
+    code, out, err = run_cli(
+        capsys, "sweep", "--graph", "path:200", "--u", "0", "--v", "199",
+        "--kmin", "1", "--kmax", "2", "--steps", "0", "--epsilon", "0.1",
+    )
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "usage"
 
 
 def test_bound_path6(capsys) -> None:
@@ -338,8 +351,8 @@ def test_projector_cross_check_mismatch_is_numeric_error(capsys, monkeypatch, ar
     # walk counts call path:6 endpoints cospectral; make every projector diagonal disagree
     real = glwalk.cospectral.pair_diagonals
 
-    def skewed(projectors, u, v):
-        diagonals = real(projectors, u, v)
+    def skewed(dec, u, v):
+        diagonals = real(dec, u, v)
         diagonals[0] += 1e-3
         return diagonals
 
@@ -350,6 +363,43 @@ def test_projector_cross_check_mismatch_is_numeric_error(capsys, monkeypatch, ar
     error = json.loads(err)["error"]
     assert error["type"] == "cospectrality-mismatch"
     assert "differs by 1.000e-03" in error["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["peak", "--model", "generalized:143"],
+        ["analyze"],
+        ["bound", "--epsilon", "0.1"],
+        ["sweep", "--kmin", "0", "--kmax", "150", "--steps", "3", "--epsilon", "0.1"],
+    ],
+    ids=["peak", "analyze", "bound", "sweep"],
+)
+def test_no_command_builds_projectors(capsys, monkeypatch, argv) -> None:
+    # per-group data comes from the decomposition; projectors are the matrix view
+    calls = []
+    real = glwalk.spectral.spectral_projectors
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (glwalk.spectral, glwalk.cli, glwalk.dynamics, glwalk.cospectral, glwalk.bounds):
+        monkeypatch.setattr(module, "spectral_projectors", counted, raising=False)
+    code, _, _ = run_cli(capsys, *argv, "--graph", "path:6", "--u", "0", "--v", "5")
+    assert code == 0
+    assert len(calls) == 0
+
+
+def test_commands_in_one_process_are_independent(capsys) -> None:
+    pair = ["--graph", "path:6", "--u", "0", "--v", "5"]
+    peak = ["peak", "--model", "generalized:143", *pair]
+    first = run_cli(capsys, *peak)
+    assert first[0] == 0
+    assert run_cli(capsys, "bound", "--epsilon", "0.3", *pair)[0] == 0
+    sweep = ["sweep", "--kmin", "100", "--kmax", "200", "--steps", "2", "--epsilon", "0.2", "--json"]
+    assert run_cli(capsys, *sweep, *pair)[0] == 0
+    assert run_cli(capsys, *peak) == first
 
 
 def test_bad_flags_exit_2(capsys) -> None:

@@ -31,8 +31,12 @@ from glwalk.cospectral import INT64_MAX, PROJECTOR_DIAG_TOL, WALK_COUNT_MAX, par
 from oracles import integer_adjacency, walk_count_oracle
 
 
+def _adjacency_dec(g: Graph):
+    return eigendecompose(g.adjacency_matrix(with_loops=False))
+
+
 def _adjacency_projectors(g: Graph):
-    return spectral_projectors(eigendecompose(g.adjacency_matrix(with_loops=False)))
+    return spectral_projectors(_adjacency_dec(g))
 
 
 def test_walk_counts_p3_endpoint() -> None:
@@ -175,19 +179,19 @@ def test_cospectrality_rejects_equal_vertices() -> None:
 def test_sign_pattern_p2() -> None:
     # adjacency-model Hamiltonian H = -A: the symmetric eigenvector comes first
     h = hamiltonian_matrix(HamiltonianSpec(Adjacency(), path_graph(2)))
-    pattern = sign_pattern(spectral_projectors(eigendecompose(h)), 0, 1)
+    pattern = sign_pattern(eigendecompose(h), 0, 1)
     assert pattern.signs == (GroupSign.PLUS, GroupSign.MINUS)
     assert pattern.consistent
 
 
 def test_sign_pattern_p6_endpoints_never_mixed() -> None:
-    pattern = sign_pattern(_adjacency_projectors(path_graph(6)), 0, 5)
+    pattern = sign_pattern(_adjacency_dec(path_graph(6)), 0, 5)
     assert pattern.consistent
     assert set(pattern.signs) <= {GroupSign.PLUS, GroupSign.MINUS}
 
 
 def test_sign_pattern_p4_has_mixed_group() -> None:
-    pattern = sign_pattern(_adjacency_projectors(path_graph(4)), 0, 1)
+    pattern = sign_pattern(_adjacency_dec(path_graph(4)), 0, 1)
     assert GroupSign.MIXED in pattern.signs
 
 
@@ -195,12 +199,12 @@ def test_sign_pattern_null_group() -> None:
     # one edge plus two isolated vertices: the zero eigenspace never touches
     # the edge pair, so its group classifies as NULL for (0, 1)
     g = Graph(n=4, edges=frozenset({(0, 1)}))
-    pattern = sign_pattern(_adjacency_projectors(g), 0, 1)
+    pattern = sign_pattern(_adjacency_dec(g), 0, 1)
     assert pattern.signs == (GroupSign.MINUS, GroupSign.NULL, GroupSign.PLUS)
 
 
 def test_localization_mass_p2() -> None:
-    masses = localization_mass(_adjacency_projectors(path_graph(2)), 0, 1)
+    masses = localization_mass(_adjacency_dec(path_graph(2)), 0, 1)
     assert np.allclose(masses, [1.0, 1.0], atol=1e-12)
 
 
@@ -208,15 +212,14 @@ def test_localization_mass_concentrates_under_large_loops() -> None:
     spec = HamiltonianSpec(LoopPerturbed(0, 5, -143.0), path_graph(6))
     dec = eigendecompose(hamiltonian_matrix(spec))
     projectors = spectral_projectors(dec)
-    masses = localization_mass(projectors, 0, 5)
+    masses = localization_mass(dec, 0, 5)
     eigenvalues = np.array([p.eigenvalue for p in projectors])
     top_two = np.argsort(-np.abs(eigenvalues))[:2]
     assert masses[top_two].sum() >= 2.0 - 0.05
 
 
 def test_localization_mass_edgeless() -> None:
-    projectors = _adjacency_projectors(Graph(n=3))
-    masses = localization_mass(projectors, 0, 1)
+    masses = localization_mass(_adjacency_dec(Graph(n=3)), 0, 1)
     assert len(masses) == 1
     assert masses[0] == pytest.approx(2.0, abs=1e-12)
 
@@ -291,8 +294,9 @@ def _per_eigenvector_signs_hold(g: Graph, u: int, v: int) -> bool:
     which the group-level pattern reports as MIXED even though a signed
     eigenbasis still exists.
     """
-    projectors = _adjacency_projectors(g)
-    pattern = sign_pattern(projectors, u, v)
+    dec = _adjacency_dec(g)
+    projectors = spectral_projectors(dec)
+    pattern = sign_pattern(dec, u, v)
     for p, sign in zip(projectors, pattern.signs):
         if abs(p.matrix[u, u] - p.matrix[v, v]) > PROJECTOR_DIAG_TOL:
             return False
@@ -321,7 +325,7 @@ def test_involution_implies_infinite_implies_sign_property() -> None:
             assert _per_eigenvector_signs_hold(g, u, v)
             # with a simple relevant spectrum the group-level pattern is clean too
             if all(p.rank == 1 for p in _adjacency_projectors(g)):
-                assert sign_pattern(_adjacency_projectors(g), u, v).consistent
+                assert sign_pattern(_adjacency_dec(g), u, v).consistent
     assert found >= 10  # the implication chain must not be vacuous
 
 

@@ -138,6 +138,36 @@ def test_model_name_round_trips() -> None:
         assert model_name(parse_model(text)) == text
 
 
+def test_model_name_round_trips_random_models() -> None:
+    assert model_name(parse_model("generalized:143.1083")) == "generalized:143.1083"
+    assert model_name(parse_model("loops:0,5,-143.25371")) == "loops:0,5,-143.25371"
+    rng = np.random.default_rng(43)
+    for _ in range(200):
+        x = float(rng.uniform(-1.0, 1.0) * 10.0 ** rng.integers(-6, 7))
+        u, v = (int(w) for w in rng.choice(50, size=2, replace=False))
+        for model in (Generalized(x), LoopPerturbed(u, v, x)):
+            assert parse_model(model_name(model)) == model
+
+
+def test_named_models_are_generalized_members_bit_for_bit() -> None:
+    # equal entries and equal signs of zero, so eigh sees the same input
+    named = {
+        "adjacency": (0.0, Adjacency),
+        "laplacian": (-1.0, Laplacian),
+        "signless": (1.0, SignlessLaplacian),
+    }
+    rng = np.random.default_rng(41)
+    graphs = [g for g in (random_graph(rng) for _ in range(60)) if g.loop_weights]
+    assert len(graphs) >= 10
+    for g in graphs:
+        for name, (k, alias) in named.items():
+            expected = _matrix(Generalized(k), g)
+            for model in (parse_model(name), alias()):
+                h = _matrix(model, g)
+                assert np.array_equal(h, expected), name
+                assert np.array_equal(np.signbit(h), np.signbit(expected)), name
+
+
 def test_loop_weight_reduction_preserves_transfer_magnitude() -> None:
     # |U(t)_{u,v}| under A + kD equals that under A + q(E_u + E_v), q = k(d1 - d2)
     rng = np.random.default_rng(37)

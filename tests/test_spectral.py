@@ -206,7 +206,7 @@ def test_group_reductions_equal_per_group_reference() -> None:
             assert p.eigenvalue == float(np.mean(dec.eigenvalues[list(p.indices)]))
         for u in range(g.n):
             for v in range(u + 1, g.n):
-                masses = localization_mass(projectors, u, v)
+                masses = localization_mass(dec, u, v)
                 assert masses.tolist() == [p.diagonal(u) + p.diagonal(v) for p in projectors]
-                assert sign_pattern(projectors, u, v).signs == _reference_signs(projectors, u, v)
+                assert sign_pattern(dec, u, v).signs == _reference_signs(projectors, u, v)
     assert {1, 2, 8, 10, 18} <= sizes

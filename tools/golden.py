@@ -86,6 +86,7 @@ EXTRA = [
     "sweep --graph bipartite:2,9 --u 0 --v 1 --kmin 1 --kmax 50 --steps 3 --threshold",
     "sweep --graph bipartite:2,4 --u 0 --v 1 --kmin 10 --kmax 90 --steps 3 --epsilon 0.2",
     "sweep --graph cycle:24 --u 0 --v 12 --kmin 0 --kmax 1 --steps 2 --threshold",
+    "sweep --graph path:200 --u 0 --v 199 --kmin 1 --kmax 2 --steps 0 --epsilon 0.1",
     "peak --graph path:60 --model adjacency --u 0 --v 59 --strategy grid --tmax 100 --samples 20001",
     "peak --graph cycle:60 --model generalized:0.5 --u 0 --v 30 --strategy grid --samples 10001",
     "peak --graph path:6 --model generalized:143 --u 0 --v 5 --refine-samples 10007",
