@@ -2,13 +2,17 @@
 
 Subcommands: fidelity | peak | sweep | bound | analyze. Output is CSV or
 JSON (schema_version 1, fixed key order); identical flags always produce
-byte-identical output. Failures print a single-line JSON error object to
-stderr and exit with 2 (validation), 3 (numeric), or 4 (I/O).
+byte-identical output. Each subcommand's handler returns its report: the
+JSON fields after u and v, or CSV text. main parses the graph, checks the
+vertex pair, adds the JSON header, writes to --out or stdout, and maps each
+failure to a single-line JSON error object on stderr and exit code 2
+(usage, validation), 3 (numeric), or 4 (I/O).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -31,10 +35,9 @@ from .errors import (
     DegenerateGapError,
     InvolutionSearchLimitError,
     ThresholdHypothesisError,
-    WalkCountOverflowError,
 )
 from .graphs import Graph, complete_bipartite, cycle_graph, from_edge_list, path_graph
-from .hamiltonians import Generalized, HamiltonianSpec, hamiltonian_matrix, parse_model
+from .hamiltonians import Generalized, HamiltonianSpec, Model, hamiltonian_matrix, parse_model
 from .spectral import eigendecompose, localization_mass
 
 EXIT_OK = 0
@@ -52,10 +55,6 @@ class UsageError(ValueError):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit; surface as JSON instead
         raise UsageError(message)
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def parse_graph(text: str) -> Graph:
@@ -83,52 +82,29 @@ def _order_json(order: int | float):
     return "infinite" if math.isinf(order) else int(order)
 
 
-def _write(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+def _csv(columns, rows) -> str:
+    """CSV text: the header, then each row as 17-significant-digit values."""
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
+    return ",".join(columns) + "\n" + "".join(line % row for row in rows)
 
 
-def _decompose(graph: Graph, model_text: str):
-    model = parse_model(model_text)
-    return model, eigendecompose(hamiltonian_matrix(HamiltonianSpec(model, graph)))
+def _decompose(graph: Graph, model: Model):
+    return eigendecompose(hamiltonian_matrix(HamiltonianSpec(model, graph)))
 
 
-def _check_pair(graph: Graph, u: int, v: int, distinct: bool) -> None:
-    graph.check_vertex(u)
-    graph.check_vertex(v)
-    if distinct and u == v:
-        raise UsageError("--u and --v must name distinct vertices")
-
-
-def _cmd_fidelity(args) -> None:
-    graph = parse_graph(args.graph)
-    _check_pair(graph, args.u, args.v, distinct=False)
-    _, dec = _decompose(graph, args.model)
+def _cmd_fidelity(args, graph: Graph) -> dict | str:
+    dec = _decompose(graph, parse_model(args.model))
     curve = fidelity_curve(dec, args.u, args.v, args.tmax, args.samples)
     if args.json:
-        report = {
-            "schema_version": SCHEMA_VERSION,
-            "graph": args.graph,
-            "model": args.model,
-            "u": args.u,
-            "v": args.v,
+        return {
             "times": [float(t) for t in curve.times],
             "probabilities": [float(p) for p in curve.probabilities],
         }
-        _write(json.dumps(report, indent=2) + "\n", args.out)
-        return
-    lines = ["t,probability"]
-    lines.extend(f"{_fmt(t)},{_fmt(p)}" for t, p in zip(curve.times, curve.probabilities))
-    _write("\n".join(lines) + "\n", args.out)
+    return _csv(("t", "probability"), zip(curve.times, curve.probabilities))
 
 
-def _cmd_peak(args) -> None:
-    graph = parse_graph(args.graph)
-    _check_pair(graph, args.u, args.v, distinct=True)
-    _, dec = _decompose(graph, args.model)
+def _cmd_peak(args, graph: Graph) -> dict:
+    dec = _decompose(graph, parse_model(args.model))
     if args.strategy == "grid":
         strategy = GridSearch(t_max=args.tmax, samples=args.samples)
     else:
@@ -148,12 +124,7 @@ def _cmd_peak(args) -> None:
     signs = sign_pattern(dec, args.u, args.v)
     masses = localization_mass(dec, args.u, args.v)
     top_masses = sorted((float(m) for m in masses), reverse=True)[:2]
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "graph": args.graph,
-        "model": args.model,
-        "u": args.u,
-        "v": args.v,
+    return {
         "fidelity": peak.fidelity,
         "probability": peak.fidelity**2,
         "t_star": peak.t_star,
@@ -163,70 +134,38 @@ def _cmd_peak(args) -> None:
         "sign_pattern": [s.value for s in signs.signs],
         "localization_mass_top_groups": top_masses,
     }
-    _write(json.dumps(report, indent=2) + "\n", args.out)
 
 
-def _cmd_sweep(args) -> None:
-    graph = parse_graph(args.graph)
-    _check_pair(graph, args.u, args.v, distinct=True)
+def _cmd_sweep(args, graph: Graph) -> dict | str:
     if args.steps < 1:
         raise UsageError("--steps must be at least 1")
+    if not (math.isfinite(args.kmin) and math.isfinite(args.kmax)):
+        raise UsageError(f"--kmin and --kmax must be finite, got {args.kmin!r} and {args.kmax!r}")
     k_min_threshold = None
     if args.threshold or args.epsilon is not None:
         epsilon = args.epsilon if args.epsilon is not None else 0.1
         k_min_threshold = k_threshold_two_class(graph, args.u, args.v, epsilon).k_min
-    ks = np.linspace(args.kmin, args.kmax, args.steps)
-    header = "k,fidelity,t_star"
-    if k_min_threshold is not None:
-        header += ",crosses_threshold"
     rows = []
     crossed = False
-    for k in ks:
-        dec = eigendecompose(hamiltonian_matrix(HamiltonianSpec(Generalized(float(k)), graph)))
+    for k in np.linspace(args.kmin, args.kmax, args.steps):
+        dec = _decompose(graph, Generalized(float(k)))
         try:
             peak = peak_fidelity(dec, args.u, args.v, TwoLevelSearch())
         except DegenerateGapError:
             peak = peak_fidelity(dec, args.u, args.v, GridSearch(t_max=args.tmax, samples=args.samples))
-        marker = None
+        row = {"k": float(k), "fidelity": peak.fidelity, "t_star": peak.t_star}
         if k_min_threshold is not None:
-            marker = 0
-            if not crossed and abs(float(k)) > k_min_threshold:
-                marker = 1
-                crossed = True
-        rows.append((float(k), peak.fidelity, peak.t_star, marker))
+            row["crosses_threshold"] = int(not crossed and abs(row["k"]) > k_min_threshold)
+            crossed = crossed or row["crosses_threshold"] == 1
+        rows.append(row)
     if args.json:
-        report = {
-            "schema_version": SCHEMA_VERSION,
-            "graph": args.graph,
-            "u": args.u,
-            "v": args.v,
-            "k_min_threshold": k_min_threshold,
-            "rows": [
-                {"k": k, "fidelity": f, "t_star": t}
-                | ({} if marker is None else {"crosses_threshold": marker})
-                for k, f, t, marker in rows
-            ],
-        }
-        _write(json.dumps(report, indent=2) + "\n", args.out)
-        return
-    lines = [header]
-    for k, f, t, marker in rows:
-        row = f"{_fmt(k)},{_fmt(f)},{_fmt(t)}"
-        if marker is not None:
-            row += f",{marker}"
-        lines.append(row)
-    _write("\n".join(lines) + "\n", args.out)
+        return {"k_min_threshold": k_min_threshold, "rows": rows}
+    return _csv(list(rows[0]), (tuple(row.values()) for row in rows))
 
 
-def _cmd_bound(args) -> None:
-    graph = parse_graph(args.graph)
-    _check_pair(graph, args.u, args.v, distinct=True)
+def _cmd_bound(args, graph: Graph) -> dict:
     res = k_threshold_two_class(graph, args.u, args.v, args.epsilon)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "graph": args.graph,
-        "u": args.u,
-        "v": args.v,
+    return {
         "epsilon": args.epsilon,
         "q_min": res.q_min,
         "k_min": res.k_min,
@@ -237,12 +176,9 @@ def _cmd_bound(args) -> None:
         "distance": int(graph.distance(args.u, args.v)),
         "cospectrality_order": _order_json(res.cospectrality_order),
     }
-    _write(json.dumps(report, indent=2) + "\n", args.out)
 
 
-def _cmd_analyze(args) -> None:
-    graph = parse_graph(args.graph)
-    _check_pair(graph, args.u, args.v, distinct=True)
+def _cmd_analyze(args, graph: Graph) -> dict:
     cos = cospectrality(graph, args.u, args.v)
     signs = sign_pattern(eigendecompose(graph.adjacency_matrix(with_loops=False)), args.u, args.v)
     involution = None
@@ -259,18 +195,8 @@ def _cmd_analyze(args) -> None:
                 involution = list(found)
         except InvolutionSearchLimitError:
             searched = False
-    divergence = None
-    if cos.first_divergence is not None:
-        divergence = {
-            "length": cos.first_divergence.length,
-            "count_u": cos.first_divergence.count_u,
-            "count_v": cos.first_divergence.count_v,
-        }
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "graph": args.graph,
-        "u": args.u,
-        "v": args.v,
+    divergence = None if cos.first_divergence is None else dataclasses.asdict(cos.first_divergence)
+    return {
         "cospectrality_order": _order_json(cos.order),
         "first_divergence": divergence,
         "projector_cospectral": cos.projector_cospectral,
@@ -278,7 +204,6 @@ def _cmd_analyze(args) -> None:
         "involution": involution,
         "sign_pattern": [s.value for s in signs.signs],
     }
-    _write(json.dumps(report, indent=2) + "\n", args.out)
 
 
 @functools.cache
@@ -330,39 +255,49 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fail(kind: str, exc: BaseException, code: int) -> int:
-    line = json.dumps(
-        {"schema_version": SCHEMA_VERSION, "error": {"type": kind, "message": str(exc)}}
-    )
-    print(line, file=sys.stderr)
-    return code
+#: (exception type, JSON error type, exit code); the first row that matches wins
+_ERRORS = (
+    (UsageError, "usage", EXIT_USAGE),
+    (DegenerateGapError, "degenerate-gap", EXIT_NUMERIC),
+    (ConvergenceError, "convergence", EXIT_NUMERIC),
+    (CospectralityMismatchError, "cospectrality-mismatch", EXIT_NUMERIC),
+    (OverflowError, "overflow", EXIT_NUMERIC),
+    (ValueError, "validation", EXIT_USAGE),
+    (IndexError, "validation", EXIT_USAGE),
+    (OSError, "io", EXIT_IO),
+)
+
+
+def _report(args) -> str:
+    graph = parse_graph(args.graph)
+    graph.check_vertex(args.u)
+    graph.check_vertex(args.v)
+    if args.command != "fidelity" and args.u == args.v:
+        raise UsageError("--u and --v must name distinct vertices")
+    body = args.handler(args, graph)
+    if isinstance(body, str):
+        return body
+    header = {"schema_version": SCHEMA_VERSION, "graph": args.graph}
+    if "model" in args:
+        header["model"] = args.model
+    return json.dumps(header | {"u": args.u, "v": args.v} | body, indent=2) + "\n"
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        args.handler(args)
+        args = build_parser().parse_args(argv)
+        text = _report(args)
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
         return EXIT_OK
-    except UsageError as exc:
-        return _fail("usage", exc, EXIT_USAGE)
-    except (
-        DegenerateGapError,
-        ConvergenceError,
-        CospectralityMismatchError,
-        WalkCountOverflowError,
-        OverflowError,
-    ) as exc:
-        kind = {
-            DegenerateGapError: "degenerate-gap",
-            ConvergenceError: "convergence",
-            CospectralityMismatchError: "cospectrality-mismatch",
-        }.get(type(exc), "overflow")
-        return _fail(kind, exc, EXIT_NUMERIC)
-    except (ValueError, IndexError) as exc:
-        return _fail("validation", exc, EXIT_USAGE)
-    except OSError as exc:
-        return _fail("io", exc, EXIT_IO)
+    except tuple(row[0] for row in _ERRORS) as exc:
+        kind, code = next((kind, code) for cls, kind, code in _ERRORS if isinstance(exc, cls))
+        error = {"schema_version": SCHEMA_VERSION, "error": {"type": kind, "message": str(exc)}}
+        print(json.dumps(error), file=sys.stderr)
+        return code
 
 
 def entry() -> None:

@@ -107,8 +107,8 @@ def transfer_probability(dec: EigenDecomposition, t: float, u: int, v: int) -> f
 
 def fidelity_curve(dec: EigenDecomposition, u: int, v: int, t_max: float, samples: int) -> FidelityCurve:
     """Uniform sampling of the transfer probability on [0, t_max], endpoints included."""
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
+    if not 0 < t_max < math.inf:
+        raise ValueError(f"t_max must be positive and finite, got {t_max!r}")
     if samples < 2:
         raise ValueError("need at least two samples")
     times, amplitudes = _uniform_series(dec, u, v, 0.0, t_max, samples)
@@ -183,8 +183,8 @@ def peak_fidelity(
             strategy.refine_samples,
         )
     else:
-        if strategy.t_max <= 0:
-            raise ValueError("t_max must be positive")
+        if not 0 < strategy.t_max < math.inf:
+            raise ValueError(f"t_max must be positive and finite, got {strategy.t_max!r}")
         if strategy.samples < 3:
             raise ValueError("need at least three grid samples")
         seed_method = "grid"

@@ -42,12 +42,13 @@ class Graph:
                 raise ValueError(f"edge ({u}, {v}) out of range for n={self.n}")
             normalized.add((u, v) if u < v else (v, u))
         object.__setattr__(self, "edges", frozenset(normalized))
-        for w in self.loop_weights:
+        weights = {v: float(q) for v, q in self.loop_weights.items()}
+        for w, q in weights.items():
             if not 0 <= w < self.n:
                 raise ValueError(f"loop weight at vertex {w} out of range for n={self.n}")
-        object.__setattr__(
-            self, "loop_weights", MappingProxyType({v: float(q) for v, q in self.loop_weights.items()})
-        )
+            if not math.isfinite(q):
+                raise ValueError(f"loop weight at vertex {w} must be finite, got {q!r}")
+        object.__setattr__(self, "loop_weights", MappingProxyType(weights))
 
     @property
     def num_edges(self) -> int:

@@ -12,6 +12,7 @@ attached.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Union
@@ -31,6 +32,10 @@ class Generalized:
 
     k: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.k):
+            raise ValueError(f"generalized model parameter k must be finite, got {self.k!r}")
+
 
 Adjacency = partial(Generalized, NAMED_K["adjacency"])
 Laplacian = partial(Generalized, NAMED_K["laplacian"])
@@ -48,6 +53,8 @@ class LoopPerturbed:
     def __post_init__(self):
         if self.u == self.v:
             raise ValueError("loop perturbation needs two distinct vertices")
+        if not math.isfinite(self.q):
+            raise ValueError(f"loop weight q must be finite, got {self.q!r}")
 
 
 Model = Union[Generalized, LoopPerturbed]
@@ -125,17 +132,19 @@ def parse_model(text: str) -> Model:
         return Generalized(NAMED_K[t])
     if t.startswith("generalized:"):
         try:
-            return Generalized(k=float(t.removeprefix("generalized:")))
+            k = float(t.removeprefix("generalized:"))
         except ValueError:
             raise ValueError(f"cannot parse generalized model parameter in {text!r}") from None
+        return Generalized(k)
     if t.startswith("loops:"):
         parts = t.removeprefix("loops:").split(",")
         if len(parts) != 3:
             raise ValueError(f"loops model needs 'loops:<u>,<v>,<q>', got {text!r}")
         try:
-            return LoopPerturbed(u=int(parts[0]), v=int(parts[1]), q=float(parts[2]))
+            u, v, q = int(parts[0]), int(parts[1]), float(parts[2])
         except ValueError:
             raise ValueError(f"cannot parse loops model parameters in {text!r}") from None
+        return LoopPerturbed(u, v, q)
     raise ValueError(f"unknown model {text!r}")
 
 

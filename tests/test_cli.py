@@ -6,6 +6,7 @@ import math
 import pytest
 
 from glwalk import (
+    ConvergenceError,
     Generalized,
     HamiltonianSpec,
     eigendecompose,
@@ -317,17 +318,102 @@ def test_graph_file_loading(capsys, tmp_path) -> None:
     assert json.loads(out)["cospectrality_order"] == "infinite"
 
 
-def test_out_flag_writes_file(capsys, tmp_path) -> None:
-    target = tmp_path / "curve.csv"
-    code, out, _ = run_cli(
-        capsys, "fidelity", "--graph", "path:2", "--model", "adjacency",
-        "--u", "0", "--v", "1", "--tmax", "3.14", "--samples", "5",
-        "--out", str(target),
-    )
+@pytest.mark.parametrize(
+    "argv, first_line",
+    [
+        pytest.param("fidelity --model adjacency --tmax 3.14 --samples 5", "t,probability", id="fidelity"),
+        pytest.param("fidelity --model adjacency --tmax 3.14 --samples 5 --json", "{", id="fidelity-json"),
+        pytest.param("peak --model adjacency", "{", id="peak"),
+        pytest.param("sweep --kmin 0 --kmax 1 --steps 2 --epsilon 0.1", "k,fidelity,t_star,crosses_threshold", id="sweep"),
+        pytest.param("sweep --kmin 0 --kmax 1 --steps 2 --json", "{", id="sweep-json"),
+        pytest.param("bound --epsilon 0.1", "{", id="bound"),
+        pytest.param("analyze", "{", id="analyze"),
+    ],
+)
+def test_out_flag_writes_file(capsys, tmp_path, argv, first_line) -> None:
+    argv = [*argv.split(), "--graph", "path:6", "--u", "0", "--v", "5"]
+    _, stdout, _ = run_cli(capsys, *argv)
+    target = tmp_path / "report"
+    code, out, _ = run_cli(capsys, *argv, "--out", str(target))
     assert code == 0
     assert out == ""
     content = target.read_text(encoding="utf-8")
-    assert content.splitlines()[0] == "t,probability"
+    assert content.splitlines()[0] == first_line
+    assert target.read_bytes() == stdout.encode("utf-8")
+
+
+def _raise_convergence(*args):
+    raise ConvergenceError("eigensolver did not converge")
+
+
+def _skewed_pair_diagonals(dec, u, v):
+    diagonals = glwalk.spectral.pair_diagonals(dec, u, v)
+    diagonals[0] += 1e-3
+    return diagonals
+
+
+@pytest.mark.parametrize(
+    "argv, patch, kind, exit_code",
+    [
+        pytest.param("peak --graph path:2 --u 0 --v 1", None, "usage", 2, id="usage"),
+        pytest.param("bound --graph path:6 --u 0 --v 5 --epsilon 0", None, "validation", 2, id="validation"),
+        pytest.param("analyze --graph path:3 --u 0 --v 7", None, "validation", 2, id="validation-vertex"),
+        pytest.param("analyze --graph file:missing.txt --u 0 --v 1", None, "io", 4, id="io"),
+        pytest.param(
+            "peak --graph file:edgeless.txt --model adjacency --u 0 --v 1", None, "degenerate-gap", 3,
+            id="degenerate-gap",
+        ),
+        pytest.param(
+            "bound --graph path:6 --u 0 --v 5 --epsilon 0.1",
+            (glwalk.cospectral, "pair_diagonals", _skewed_pair_diagonals), "cospectrality-mismatch", 3,
+            id="cospectrality-mismatch",
+        ),
+        pytest.param("analyze --graph cycle:200 --u 0 --v 100", None, "overflow", 3, id="overflow"),
+        pytest.param(
+            "peak --graph path:6 --model adjacency --u 0 --v 5",
+            (glwalk.cli, "eigendecompose", _raise_convergence), "convergence", 3,
+            id="convergence",
+        ),
+    ],
+)
+def test_error_table_through_main(capsys, monkeypatch, tmp_path, argv, patch, kind, exit_code) -> None:
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "edgeless.txt").write_text("n=3\n", encoding="utf-8")
+    if patch is not None:
+        monkeypatch.setattr(*patch)
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out) == (exit_code, "")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert json.loads(err)["error"]["type"] == kind
+
+
+NAN_LOOP_PATH = "n=6\nloop 0 nan\n0 1\n1 2\n2 3\n3 4\n4 5\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        pytest.param("peak --model adjacency --strategy grid --tmax nan --samples 11", "nan", id="peak-tmax-nan"),
+        pytest.param("peak --model adjacency --strategy grid --tmax inf --samples 11", "inf", id="peak-tmax-inf"),
+        pytest.param("fidelity --model adjacency --tmax nan --samples 11", "nan", id="fidelity-tmax-nan"),
+        pytest.param("fidelity --model adjacency --tmax inf --samples 11", "inf", id="fidelity-tmax-inf"),
+        pytest.param("sweep --kmin nan --kmax 1 --steps 2", "nan", id="sweep-kmin-nan"),
+        pytest.param("sweep --kmin 0 --kmax inf --steps 2", "inf", id="sweep-kmax-inf"),
+        pytest.param("peak --model generalized:nan", "nan", id="generalized-nan"),
+        pytest.param("peak --model generalized:inf", "inf", id="generalized-inf"),
+        pytest.param("peak --model loops:0,5,nan", "nan", id="loops-nan"),
+        pytest.param("analyze --graph file:nan-loop.txt", "nan", id="edge-list-loop-nan"),
+    ],
+)
+def test_non_finite_input_is_rejected(capsys, monkeypatch, tmp_path, argv, bad) -> None:
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "nan-loop.txt").write_text(NAN_LOOP_PATH, encoding="utf-8")
+    command, *flags = argv.split()  # a --graph in flags overrides path:6
+    code, out, err = run_cli(capsys, command, "--graph", "path:6", *flags, "--u", "0", "--v", "5")
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert bad in json.loads(err)["error"]["message"]
 
 
 def test_missing_graph_file_is_io_error(capsys, tmp_path) -> None:

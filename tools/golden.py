@@ -8,10 +8,11 @@ The first form runs every command of a fixed corpus through
 glwalk from DIR (default: the ``src`` next to this script), and writes
 ``{command: [exit code, stdout, stderr]}`` as JSON. The corpus covers all five
 subcommands, every model spelling, and path, cycle, complete bipartite and
-edge-list graphs: seeded G(n, p) files with loop lines, which the commands
-name by a relative path inside a temporary working directory so the keys do
-not depend on where it lives. The second form lists the commands whose exit
-code, stdout or stderr differ between two such files, and exits 1 if any do.
+edge-list graphs: seeded G(n, p) files with loop lines and one fixed file
+with a non-finite loop weight, which the commands name by a relative path
+inside a temporary working directory so the keys do not depend on where it
+lives. The second form lists the commands whose exit code, stdout or stderr
+differ between two such files, and exits 1 if any do.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ WORKERS = 2
 
 #: edge-list files written into the working directory: name -> (n, p, seed)
 GNP_FILES = {"gnp12.txt": (12, 0.35, 12), "gnp30.txt": (30, 0.2, 30), "gnp150.txt": (150, 10 / 150, 150)}
+#: edge-list files written verbatim into the working directory: name -> text
+TEXT_FILES = {"nanloop6.txt": "n=6\nloop 0 nan\n0 1\n1 2\n2 3\n3 4\n4 5\n"}
 
 #: (graph, u, v) pairs that get analyze, bound and a peak per model
 PAIRS = [
@@ -71,7 +74,7 @@ MODELS = [
 ]
 
 #: commands outside the per-pair grid: curves, sweeps, grid peaks, large
-#: graphs, supplied involutions and error paths
+#: graphs, supplied involutions, error paths and non-finite inputs
 EXTRA = [
     "fidelity --graph path:6 --model adjacency --u 0 --v 5 --tmax 50 --samples 501",
     "fidelity --graph path:6 --model generalized:143 --u 0 --v 5 --tmax 1e9 --samples 301",
@@ -113,6 +116,16 @@ EXTRA = [
     "peak --graph path:6 --model nonsense --u 0 --v 5",
     "peak --graph file:missing.txt --model adjacency --u 0 --v 1",
     "fidelity --graph path:6 --u 0 --v 5",
+    "peak --graph path:6 --model adjacency --u 0 --v 5 --strategy grid --tmax nan --samples 11",
+    "peak --graph path:6 --model adjacency --u 0 --v 5 --strategy grid --tmax inf --samples 11",
+    "fidelity --graph path:6 --model adjacency --u 0 --v 5 --tmax nan --samples 11",
+    "fidelity --graph path:6 --model adjacency --u 0 --v 5 --tmax inf --samples 11",
+    "sweep --graph path:6 --u 0 --v 5 --kmin nan --kmax 1 --steps 2",
+    "sweep --graph path:6 --u 0 --v 5 --kmin 0 --kmax inf --steps 2",
+    "peak --graph path:6 --model generalized:nan --u 0 --v 5",
+    "peak --graph path:6 --model generalized:inf --u 0 --v 5",
+    "peak --graph path:6 --model loops:0,5,nan --u 0 --v 5",
+    "analyze --graph file:nanloop6.txt --u 0 --v 5",
 ]
 
 
@@ -141,6 +154,8 @@ def run_corpus(src: Path) -> dict[str, list]:
     with tempfile.TemporaryDirectory() as workdir:
         for name, (n, p, seed) in GNP_FILES.items():
             write_gnp(Path(workdir, name), n, p, seed)
+        for name, text in TEXT_FILES.items():
+            Path(workdir, name).write_text(text, encoding="utf-8")
 
         def run(command: str) -> list:
             proc = subprocess.run(
