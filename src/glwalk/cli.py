@@ -16,6 +16,7 @@ import dataclasses
 import functools
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -28,7 +29,14 @@ from .cospectral import (
     sign_pattern,
     verify_involution,
 )
-from .dynamics import GridSearch, TwoLevelSearch, fidelity_curve, peak_fidelity
+from .dynamics import (
+    GridSearch,
+    TwoLevelSearch,
+    fidelity_curve,
+    peak_fidelity,
+    run_peak_searches,
+    start_peak_search,
+)
 from .errors import (
     ConvergenceError,
     CospectralityMismatchError,
@@ -53,6 +61,12 @@ class UsageError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads only -1 and -1.5 as negative numbers and takes -1.5e2
+        # for an option; read every float literal with a leading minus as a value
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):  # argparse would sys.exit; surface as JSON instead
         raise UsageError(message)
 
@@ -136,6 +150,19 @@ def _cmd_peak(args, graph: Graph) -> dict:
     }
 
 
+def _sweep_search(args, graph: Graph, k: float):
+    """The started peak search of one sweep step; grid fallback on a degenerate gap.
+
+    A started search keeps O(n) of the decomposition, which is dropped on
+    return, so a sweep holds one n x n eigenvector matrix at a time.
+    """
+    dec = _decompose(graph, Generalized(k))
+    try:
+        return start_peak_search(dec, args.u, args.v, TwoLevelSearch())
+    except DegenerateGapError:
+        return start_peak_search(dec, args.u, args.v, GridSearch(t_max=args.tmax, samples=args.samples))
+
+
 def _cmd_sweep(args, graph: Graph) -> dict | str:
     if args.steps < 1:
         raise UsageError("--steps must be at least 1")
@@ -145,14 +172,11 @@ def _cmd_sweep(args, graph: Graph) -> dict | str:
     if args.threshold or args.epsilon is not None:
         epsilon = args.epsilon if args.epsilon is not None else 0.1
         k_min_threshold = k_threshold_two_class(graph, args.u, args.v, epsilon).k_min
+    ks = np.linspace(args.kmin, args.kmax, args.steps)
+    peaks = run_peak_searches([_sweep_search(args, graph, float(k)) for k in ks])
     rows = []
     crossed = False
-    for k in np.linspace(args.kmin, args.kmax, args.steps):
-        dec = _decompose(graph, Generalized(float(k)))
-        try:
-            peak = peak_fidelity(dec, args.u, args.v, TwoLevelSearch())
-        except DegenerateGapError:
-            peak = peak_fidelity(dec, args.u, args.v, GridSearch(t_max=args.tmax, samples=args.samples))
+    for k, peak in zip(ks, peaks):
         row = {"k": float(k), "fidelity": peak.fidelity, "t_star": peak.t_star}
         if k_min_threshold is not None:
             row["crosses_threshold"] = int(not crossed and abs(row["k"]) > k_min_threshold)

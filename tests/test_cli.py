@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -541,3 +542,73 @@ def test_csv_uses_17_significant_digits(capsys) -> None:
     )
     t_mid = out.splitlines()[2].split(",")[0]
     assert t_mid == format(0.5, ".17g")
+
+
+@pytest.mark.parametrize(
+    "spaced, expected",
+    [
+        pytest.param("sweep --kmin -1.5e2 --kmax 0 --steps 2", (0, "k,fidelity,t_star"), id="kmin"),
+        pytest.param("sweep --kmin -2E+2 --kmax -1e-1 --steps 2", (0, "k,fidelity,t_star"), id="kmax"),
+        pytest.param("fidelity --model adjacency --tmax -1e2 --samples 11", (2, "validation"), id="fidelity-tmax"),
+        pytest.param(
+            "peak --model adjacency --strategy grid --tmax -1.e2 --samples 11", (2, "validation"), id="peak-tmax"
+        ),
+        pytest.param(
+            "sweep --graph file:empty.txt --kmin -1 --kmax 1 --steps 2 --tmax -.5e1", (2, "validation"), id="sweep-tmax"
+        ),
+    ],
+)
+def test_negative_numbers_in_scientific_notation(capsys, monkeypatch, tmp_path, spaced, expected) -> None:
+    # "--flag -1.5e2" reads as "--flag=-1.5e2", not as a flag without its value
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "empty.txt").write_text("n=6\n", encoding="utf-8")  # every sweep row takes the grid fallback
+    command, *flags = spaced.split()
+    pair = ["--graph", "path:6", "--u", "0", "--v", "5"]
+    joined = [f"{flag}={value}" for flag, value in zip(flags[::2], flags[1::2])]
+    first = run_cli(capsys, command, *pair, *flags)
+    assert run_cli(capsys, command, *pair, *joined) == first
+    code, out, err = first
+    if code == 0:
+        assert (code, out.splitlines()[0], err) == (expected[0], expected[1], "")
+        assert len(out.splitlines()) == 3
+    else:
+        assert (code, out, json.loads(err)["error"]["type"]) == (expected[0], "", expected[1])
+
+
+@pytest.mark.parametrize(
+    "graph, u, v, kmin, kmax, steps",
+    [
+        ("path:6", "0", "5", "100", "190", "8"),
+        ("bipartite:2,5", "0", "1", "-260", "-120", "6"),
+        ("path:20", "3", "16", "-1.5", "1.5", "5"),
+    ],
+)
+def test_sweep_rows_equal_per_k_peak(capsys, graph, u, v, kmin, kmax, steps) -> None:
+    pair = ["--graph", graph, "--u", u, "--v", v]
+    code, out, _ = run_cli(capsys, "sweep", *pair, "--kmin", kmin, "--kmax", kmax, "--steps", steps, "--json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert len(rows) == int(steps)
+    for row in rows:
+        code, out, _ = run_cli(capsys, "peak", *pair, "--model", f"generalized:{row['k']!r}")
+        assert code == 0
+        peak = json.loads(out)
+        assert (row["fidelity"], row["t_star"]) == (peak["fidelity"], peak["t_star"])
+
+
+def test_sweep_memory_does_not_grow_with_steps(capsys) -> None:
+    # a started search keeps O(n) data, so a sweep holds one n x n decomposition at a time
+    def traced_peak(steps: str) -> int:
+        argv = [
+            "sweep", "--graph", "path:400", "--u", "0", "--v", "399", "--kmin", "-1.3", "--kmax", "1.1",
+            "--steps", steps, "--tmax", "50", "--samples", "5001",
+        ]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            capsys.readouterr()
+
+    assert traced_peak("8") - traced_peak("1") <= 1.5 * 2**20

@@ -27,6 +27,8 @@ from glwalk import (
     hamiltonian_matrix,
     path_graph,
     peak_fidelity,
+    run_peak_searches,
+    start_peak_search,
     transfer_probability,
     two_level_candidate_time,
 )
@@ -297,3 +299,36 @@ def test_uniform_grid_memory_is_bounded(n, search) -> None:
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def _lockstep_batch(g, models, u, v):
+    """Each decomposition with its default search (grid on a degenerate gap) and a grid search."""
+    batch = []
+    for model in models:
+        dec = _decompose(model, g)
+        try:
+            two_level_candidate_time(dec, u, v)
+            default = TwoLevelSearch()
+        except DegenerateGapError:
+            default = GridSearch(20.0, 401)
+        batch += [(dec, default), (dec, GridSearch(30.0, 3001))]
+    return batch
+
+
+def test_lockstep_equals_one_search_at_a_time() -> None:
+    rng = np.random.default_rng(73)
+    cases = []
+    for _ in range(12):
+        g = random_graph(rng, n_max=10)
+        u, v = (int(x) for x in rng.choice(g.n, size=2, replace=False))
+        models = [random_model(rng, g), *(Generalized(float(k)) for k in rng.uniform(-3.0, 3.0, 3))]
+        cases.append((_lockstep_batch(g, models, u, v), u, v))
+    # the paper regime: readout times near 1e9, phases near 1e11 rad
+    p6_models = [Generalized(k) for k in (140.0, 142.5, 143.0, 143.2, 144.0)]
+    cases.append((_lockstep_batch(path_graph(6), p6_models, 0, 5), 0, 5))
+    for batch, u, v in cases:
+        lockstep = run_peak_searches([start_peak_search(dec, u, v, s) for dec, s in batch])
+        assert len(lockstep) == len(batch)
+        for (dec, strategy), peak in zip(batch, lockstep):
+            assert peak == peak_fidelity(dec, u, v, strategy)
+            assert peak.fidelity == abs(evolution_amplitude(dec, peak.t_star, u, v))

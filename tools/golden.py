@@ -8,10 +8,10 @@ The first form runs every command of a fixed corpus through
 glwalk from DIR (default: the ``src`` next to this script), and writes
 ``{command: [exit code, stdout, stderr]}`` as JSON. The corpus covers all five
 subcommands, every model spelling, and path, cycle, complete bipartite and
-edge-list graphs: seeded G(n, p) files with loop lines and one fixed file
-with a non-finite loop weight, which the commands name by a relative path
-inside a temporary working directory so the keys do not depend on where it
-lives. The second form lists the commands whose exit code, stdout or stderr
+edge-list graphs: seeded G(n, p) files with loop lines and two fixed files,
+one with a non-finite loop weight and one with no edges, which the commands
+name by a relative path inside a temporary working directory so the keys do
+not depend on where it lives. The second form lists the commands whose exit code, stdout or stderr
 differ between two such files, and exits 1 if any do.
 """
 
@@ -35,7 +35,11 @@ WORKERS = 2
 #: edge-list files written into the working directory: name -> (n, p, seed)
 GNP_FILES = {"gnp12.txt": (12, 0.35, 12), "gnp30.txt": (30, 0.2, 30), "gnp150.txt": (150, 10 / 150, 150)}
 #: edge-list files written verbatim into the working directory: name -> text
-TEXT_FILES = {"nanloop6.txt": "n=6\nloop 0 nan\n0 1\n1 2\n2 3\n3 4\n4 5\n"}
+TEXT_FILES = {
+    "nanloop6.txt": "n=6\nloop 0 nan\n0 1\n1 2\n2 3\n3 4\n4 5\n",
+    # one eigenvalue group at every k, so each sweep row takes the grid fallback
+    "empty4.txt": "n=4\n",
+}
 
 #: (graph, u, v) pairs that get analyze, bound and a peak per model
 PAIRS = [
@@ -74,7 +78,8 @@ MODELS = [
 ]
 
 #: commands outside the per-pair grid: curves, sweeps, grid peaks, large
-#: graphs, supplied involutions, error paths and non-finite inputs
+#: graphs, supplied involutions, error paths, non-finite inputs and negative
+#: numbers in scientific notation
 EXTRA = [
     "fidelity --graph path:6 --model adjacency --u 0 --v 5 --tmax 50 --samples 501",
     "fidelity --graph path:6 --model generalized:143 --u 0 --v 5 --tmax 1e9 --samples 301",
@@ -126,6 +131,19 @@ EXTRA = [
     "peak --graph path:6 --model generalized:inf --u 0 --v 5",
     "peak --graph path:6 --model loops:0,5,nan --u 0 --v 5",
     "analyze --graph file:nanloop6.txt --u 0 --v 5",
+    # sweeps whose peak searches run in lockstep
+    "sweep --graph path:6 --u 0 --v 5 --kmin 100 --kmax 190 --steps 16 --epsilon 0.1",
+    "sweep --graph bipartite:2,5 --u 0 --v 1 --kmin 120 --kmax 260 --steps 12 --json",
+    "sweep --graph path:20 --u 3 --v 16 --kmin -1.5 --kmax 1.5 --steps 12",
+    "sweep --graph cycle:24 --u 0 --v 12 --kmin -1 --kmax 1 --steps 9 --tmax 60 --samples 20001",
+    "sweep --graph file:empty4.txt --u 0 --v 3 --kmin -1 --kmax 1 --steps 5 --tmax 20 --samples 1001",
+    # negative flag values in scientific notation
+    "sweep --graph path:6 --u 0 --v 5 --kmin -1.5e2 --kmax 0 --steps 2",
+    "sweep --graph path:6 --u 0 --v 5 --kmin=-1.5e2 --kmax 0 --steps 2",
+    "sweep --graph path:6 --u 0 --v 5 --kmin -1.5E+2 --kmax -1e-1 --steps 2 --json",
+    "fidelity --graph path:6 --model adjacency --u 0 --v 5 --tmax -1e2 --samples 11",
+    "peak --graph path:6 --model adjacency --u 0 --v 5 --strategy grid --tmax -1e2 --samples 11",
+    "sweep --graph file:empty4.txt --u 0 --v 3 --kmin -1 --kmax 1 --steps 2 --tmax -2.5e1",
 ]
 
 
