@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from .cospectral import cospectrality
 from .errors import ThresholdHypothesisError
 from .graphs import Graph
-from .hamiltonians import reduced_spec
+from .hamiltonians import reduced_model
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,7 @@ def k_threshold_two_class(graph: Graph, u: int, v: int, epsilon: float) -> Thres
     is raised before it; a cospectrality order below the distance raises
     ThresholdHypothesisError, which carries the order.
     """
-    _, q_unit = reduced_spec(graph, u, v, 1.0)
+    q_unit = reduced_model(graph, u, v, 1.0).q
     distance = graph.distance(u, v)
     if math.isinf(distance):
         raise ValueError(f"vertices {u} and {v} are disconnected; no threshold applies")

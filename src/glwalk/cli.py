@@ -45,7 +45,7 @@ from .errors import (
     ThresholdHypothesisError,
 )
 from .graphs import Graph, complete_bipartite, cycle_graph, from_edge_list, path_graph
-from .hamiltonians import Generalized, HamiltonianSpec, Model, hamiltonian_matrix, parse_model
+from .hamiltonians import Generalized, Model, hamiltonian_matrix, parse_model
 from .spectral import eigendecompose, localization_mass
 
 EXIT_OK = 0
@@ -103,7 +103,7 @@ def _csv(columns, rows) -> str:
 
 
 def _decompose(graph: Graph, model: Model):
-    return eigendecompose(hamiltonian_matrix(HamiltonianSpec(model, graph)))
+    return eigendecompose(hamiltonian_matrix(model, graph))
 
 
 def _cmd_fidelity(args, graph: Graph) -> dict | str:
@@ -218,12 +218,12 @@ def _cmd_analyze(args, graph: Graph) -> dict:
             if found is not None:
                 involution = list(found)
         except InvolutionSearchLimitError:
-            searched = False
+            pass
     divergence = None if cos.first_divergence is None else dataclasses.asdict(cos.first_divergence)
     return {
         "cospectrality_order": _order_json(cos.order),
         "first_divergence": divergence,
-        "projector_cospectral": cos.projector_cospectral,
+        "projector_cospectral": cos.infinite,
         "involution_searched": searched,
         "involution": involution,
         "sign_pattern": [s.value for s in signs.signs],

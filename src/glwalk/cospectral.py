@@ -67,11 +67,12 @@ class WalkDivergence:
 @dataclass(frozen=True)
 class CospectralityResult:
     """order is a nonnegative int or INFINITE; finite order means counts first
-    differ at length order + 1 (recorded in first_divergence)."""
+    differ at length order + 1 (recorded in first_divergence). An infinite
+    order has passed the projector cross-check, so infinite also says the
+    pair is projector-cospectral."""
 
     order: int | float
     first_divergence: WalkDivergence | None
-    projector_cospectral: bool
 
     @property
     def infinite(self) -> bool:
@@ -136,11 +137,8 @@ def cospectrality(g: Graph, u: int, v: int) -> CospectralityResult:
         raise ValueError("cospectrality needs two distinct vertices")
     for k, (cu, cv) in enumerate(islice(_closed_walks(g, [u, v]), g.n - 1), start=1):
         if cu != cv:
-            return CospectralityResult(
-                order=k - 1,
-                first_divergence=WalkDivergence(length=k, count_u=cu, count_v=cv),
-                projector_cospectral=False,
-            )
+            divergence = WalkDivergence(length=k, count_u=cu, count_v=cv)
+            return CospectralityResult(order=k - 1, first_divergence=divergence)
     dec = eigendecompose(g.adjacency_matrix(with_loops=False))
     diag_u, diag_v = pair_diagonals(dec, u, v)
     difference = np.abs(diag_u - diag_v)
@@ -151,7 +149,7 @@ def cospectrality(g: Graph, u: int, v: int) -> CospectralityResult:
             "walk counts and projector diagonals disagree; "
             f"projector at eigenvalue {float(group_eigenvalues(dec)[r])} differs by {difference[r]:.3e}"
         )
-    return CospectralityResult(order=INFINITE, first_divergence=None, projector_cospectral=True)
+    return CospectralityResult(order=INFINITE, first_divergence=None)
 
 
 def sign_pattern(dec: EigenDecomposition, u: int, v: int, tol: float = SIGN_TOL) -> SignPattern:

@@ -48,8 +48,6 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 class FidelityCurve:
     """Sampled transfer probabilities between a vertex pair (hbar = 1 units)."""
 
-    u: int
-    v: int
     times: np.ndarray
     probabilities: np.ndarray
 
@@ -129,7 +127,7 @@ def fidelity_curve(dec: EigenDecomposition, u: int, v: int, t_max: float, sample
     probabilities = np.abs(amplitudes) ** 2
     times.setflags(write=False)
     probabilities.setflags(write=False)
-    return FidelityCurve(u=u, v=v, times=times, probabilities=probabilities)
+    return FidelityCurve(times=times, probabilities=probabilities)
 
 
 def two_level_candidate_time(dec: EigenDecomposition, u: int, v: int) -> float:
@@ -140,7 +138,7 @@ def two_level_candidate_time(dec: EigenDecomposition, u: int, v: int) -> float:
     DegenerateGapError when that gap is numerically zero (PST-like degeneracy);
     callers should fall back to a grid search in that case.
     """
-    if dec.n < 2 or len(dec.groups) < 2:
+    if len(dec.groups) < 2:
         raise DegenerateGapError("fewer than two eigenvalue groups; no beat frequency exists")
     first, second = np.argsort(-localization_mass(dec, u, v), kind="stable")[:2]
     eigenvalues = group_eigenvalues(dec)

@@ -144,7 +144,7 @@ def from_edge_list(text: str) -> Graph:
     """
     declared_n: int | None = None
     seen_content = False
-    edges: dict[Edge, int] = {}
+    edges: set[Edge] = set()
     loops: dict[int, float] = {}
     max_index = -1
 
@@ -171,6 +171,8 @@ def from_edge_list(text: str) -> Graph:
                 raise EdgeListError(f"cannot parse loop line {line!r}", lineno) from None
             if v < 0:
                 raise EdgeListError(f"negative vertex index {v}", lineno)
+            if declared_n is not None and v >= declared_n:
+                raise EdgeListError(f"vertex index {v} >= declared n={declared_n}", lineno)
             if v in loops:
                 raise EdgeListError(f"duplicate loop weight for vertex {v}", lineno)
             loops[v] = q
@@ -184,28 +186,19 @@ def from_edge_list(text: str) -> Graph:
             raise EdgeListError(f"cannot parse edge line {line!r}", lineno) from None
         if u < 0 or v < 0:
             raise EdgeListError(f"negative vertex index in {line!r}", lineno)
+        if declared_n is not None and max(u, v) >= declared_n:
+            raise EdgeListError(f"vertex index {max(u, v)} >= declared n={declared_n}", lineno)
         if u == v:
             raise EdgeListError(f"self-edge at vertex {u}; use a 'loop' line instead", lineno)
         edge = (u, v) if u < v else (v, u)
         if edge in edges:
             raise EdgeListError(f"duplicate edge ({edge[0]}, {edge[1]})", lineno)
-        edges[edge] = lineno
+        edges.add(edge)
         max_index = max(max_index, u, v)
 
-    if declared_n is None:
-        if max_index < 0:
-            raise EdgeListError("empty edge list without an n= header")
-        n = max_index + 1
-    else:
-        n = declared_n
-        if max_index >= n:
-            offending = [
-                (edge, lineno) for edge, lineno in edges.items() if max(edge) >= n
-            ] + [((v, v), 0) for v in loops if v >= n]
-            if offending and offending[0][1]:
-                edge, lineno = offending[0]
-                raise EdgeListError(f"vertex index {max(edge)} >= declared n={n}", lineno)
-            raise EdgeListError(f"vertex index {max_index} >= declared n={n}")
+    if declared_n is None and max_index < 0:
+        raise EdgeListError("empty edge list without an n= header")
+    n = max_index + 1 if declared_n is None else declared_n
     return Graph(n=n, edges=frozenset(edges), loop_weights=loops)
 
 

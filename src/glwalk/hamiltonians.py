@@ -60,22 +60,14 @@ class LoopPerturbed:
 Model = Union[Generalized, LoopPerturbed]
 
 
-@dataclass(frozen=True)
-class HamiltonianSpec:
-    model: Model
-    graph: Graph
-
-
-def hamiltonian_matrix(spec: HamiltonianSpec) -> np.ndarray:
-    """Dense Hamiltonian for the spec's model; exactly symmetric by construction."""
-    g = spec.graph
-    a = g.adjacency_matrix()
-    model = spec.model
+def hamiltonian_matrix(model: Model, graph: Graph) -> np.ndarray:
+    """Dense Hamiltonian of the model on graph; exactly symmetric by construction."""
+    a = graph.adjacency_matrix()
     if isinstance(model, Generalized):
-        h = -(a + model.k * np.diag(g.degree_vector().astype(float)))
+        h = -(a + model.k * np.diag(graph.degree_vector().astype(float)))
     elif isinstance(model, LoopPerturbed):
-        g.check_vertex(model.u)
-        g.check_vertex(model.v)
+        graph.check_vertex(model.u)
+        graph.check_vertex(model.v)
         perturbation = np.zeros_like(a)
         perturbation[model.u, model.u] = model.q
         perturbation[model.v, model.v] = model.q
@@ -86,8 +78,8 @@ def hamiltonian_matrix(spec: HamiltonianSpec) -> np.ndarray:
     return h
 
 
-def reduced_spec(graph: Graph, u: int, v: int, k: float) -> tuple[HamiltonianSpec, float]:
-    """Loop-perturbed spec dynamically equivalent to the generalized model.
+def reduced_model(graph: Graph, u: int, v: int, k: float) -> LoopPerturbed:
+    """Loop-perturbed model dynamically equivalent to Generalized(k) on graph.
 
     Requires exactly two degree classes: deg(u) = deg(v) = d1 and every other
     vertex of degree d2 != d1. Dropping the constant d2 background shifts the
@@ -117,8 +109,7 @@ def reduced_spec(graph: Graph, u: int, v: int, k: float) -> tuple[HamiltonianSpe
         raise DegreeStructureError(
             f"marked and background degrees coincide ({d1}); no loop-weight reduction exists"
         )
-    q = k * (d1 - d2)
-    return HamiltonianSpec(LoopPerturbed(u, v, q), graph), q
+    return LoopPerturbed(u, v, k * (d1 - d2))
 
 
 def parse_model(text: str) -> Model:
@@ -154,7 +145,7 @@ def _real(x: float) -> str:
 
 
 def model_name(model: Model) -> str:
-    """Inverse of parse_model, used for deterministic reports."""
+    """Inverse of parse_model: the name that parse_model reads back as model."""
     if isinstance(model, Generalized):
         for name, k in NAMED_K.items():
             if model.k == k:

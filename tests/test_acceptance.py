@@ -19,7 +19,6 @@ from glwalk import (
     Adjacency,
     Generalized,
     GroupSign,
-    HamiltonianSpec,
     Laplacian,
     SignlessLaplacian,
     TwoLevelSearch,
@@ -34,7 +33,7 @@ from glwalk import (
     path_graph,
     peak_fidelity,
     readout_time_bound,
-    reduced_spec,
+    reduced_model,
     sign_pattern,
     spectral_projectors,
     verify_involution,
@@ -67,7 +66,7 @@ def _best_of(repeats: int, fn) -> float:
 
 
 def _decompose(model, graph):
-    return eigendecompose(hamiltonian_matrix(HamiltonianSpec(model, graph)))
+    return eigendecompose(hamiltonian_matrix(model, graph))
 
 
 def test_criterion_1_threshold_reproduction(capsys) -> None:
@@ -121,8 +120,7 @@ def test_criterion_4_loop_weight_reduction_equivalence() -> None:
                 k = float(rng.uniform(-10.0, 10.0))
                 t = float(rng.uniform(0.1, 20.0))
                 full = _decompose(Generalized(k), g)
-                spec, _ = reduced_spec(g, u, v, k)
-                reduced = eigendecompose(hamiltonian_matrix(spec))
+                reduced = _decompose(reduced_model(g, u, v, k), g)
                 diff = abs(
                     abs(evolution_amplitude(full, t, u, v))
                     - abs(evolution_amplitude(reduced, t, u, v))
@@ -187,7 +185,7 @@ def test_criterion_7_property_suites() -> None:
             structured = trial % 3 == 0
             g = structured_graph(rng) if structured else random_graph(rng, n_max=12)
             model = random_model(rng, g)
-            h = hamiltonian_matrix(HamiltonianSpec(model, g))
+            h = hamiltonian_matrix(model, g)
             dec = eigendecompose(h)
             n = g.n
             t = float(rng.uniform(0.1, 20.0))

@@ -9,7 +9,6 @@ from glwalk import (
     DegreeStructureError,
     Generalized,
     Graph,
-    HamiltonianSpec,
     ThresholdInput,
     TwoLevelSearch,
     complete_bipartite,
@@ -125,7 +124,7 @@ def test_threshold_soundness_end_to_end() -> None:
     p6 = path_graph(6)
     res = k_threshold_two_class(p6, 0, 5, 0.1)
     k = float(math.ceil(res.k_min))
-    dec = eigendecompose(hamiltonian_matrix(HamiltonianSpec(Generalized(k), p6)))
+    dec = eigendecompose(hamiltonian_matrix(Generalized(k), p6))
     peak = peak_fidelity(dec, 0, 5, TwoLevelSearch())
     assert peak.fidelity > 0.9
     assert peak.t_star < readout_time_bound(k * 1.0, 2, 5)

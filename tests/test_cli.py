@@ -9,7 +9,6 @@ import pytest
 from glwalk import (
     ConvergenceError,
     Generalized,
-    HamiltonianSpec,
     eigendecompose,
     hamiltonian_matrix,
     path_graph,
@@ -53,7 +52,7 @@ def test_fidelity_generalized_zero_equals_adjacency(capsys) -> None:
 
 
 def test_fidelity_generalized_143_peaks_high(capsys) -> None:
-    dec = eigendecompose(hamiltonian_matrix(HamiltonianSpec(Generalized(143.0), path_graph(6))))
+    dec = eigendecompose(hamiltonian_matrix(Generalized(143.0), path_graph(6)))
     t_star = two_level_candidate_time(dec, 0, 5)
     code, out, _ = run_cli(
         capsys,

@@ -10,7 +10,6 @@ from glwalk import (
     Adjacency,
     Graph,
     GroupSign,
-    HamiltonianSpec,
     InvolutionSearchLimitError,
     LoopPerturbed,
     WalkCountOverflowError,
@@ -154,14 +153,13 @@ def test_cospectrality_across_int64_switch_matches_oracle() -> None:
 def test_cospectrality_path6_endpoints_infinite() -> None:
     result = cospectrality(path_graph(6), 0, 5)
     assert result.infinite
-    assert result.projector_cospectral
     assert result.first_divergence is None
 
 
 def test_cospectrality_p4_order_one() -> None:
     result = cospectrality(path_graph(4), 0, 1)
     assert result.order == 1
-    assert not result.projector_cospectral
+    assert not result.infinite
     assert result.first_divergence is not None
     assert result.first_divergence.length == 2
     assert (result.first_divergence.count_u, result.first_divergence.count_v) == (1, 2)
@@ -178,7 +176,7 @@ def test_cospectrality_rejects_equal_vertices() -> None:
 
 def test_sign_pattern_p2() -> None:
     # adjacency-model Hamiltonian H = -A: the symmetric eigenvector comes first
-    h = hamiltonian_matrix(HamiltonianSpec(Adjacency(), path_graph(2)))
+    h = hamiltonian_matrix(Adjacency(), path_graph(2))
     pattern = sign_pattern(eigendecompose(h), 0, 1)
     assert pattern.signs == (GroupSign.PLUS, GroupSign.MINUS)
     assert pattern.consistent
@@ -209,8 +207,7 @@ def test_localization_mass_p2() -> None:
 
 
 def test_localization_mass_concentrates_under_large_loops() -> None:
-    spec = HamiltonianSpec(LoopPerturbed(0, 5, -143.0), path_graph(6))
-    dec = eigendecompose(hamiltonian_matrix(spec))
+    dec = eigendecompose(hamiltonian_matrix(LoopPerturbed(0, 5, -143.0), path_graph(6)))
     projectors = spectral_projectors(dec)
     masses = localization_mass(dec, 0, 5)
     eigenvalues = np.array([p.eigenvalue for p in projectors])

@@ -14,7 +14,6 @@ from glwalk import (
     Generalized,
     Graph,
     GridSearch,
-    HamiltonianSpec,
     Laplacian,
     LoopPerturbed,
     TwoLevelSearch,
@@ -37,7 +36,7 @@ from oracles import dense_peak, unitary_oracle
 
 
 def _decompose(model, graph):
-    return eigendecompose(hamiltonian_matrix(HamiltonianSpec(model, graph)))
+    return eigendecompose(hamiltonian_matrix(model, graph))
 
 
 def test_p2_amplitude_is_i_sin_t() -> None:
@@ -61,7 +60,7 @@ def test_time_zero_is_identity() -> None:
 
 def test_p3_laplacian_matches_exponential_oracle() -> None:
     p3 = path_graph(3)
-    h = hamiltonian_matrix(HamiltonianSpec(Laplacian(), p3))
+    h = hamiltonian_matrix(Laplacian(), p3)
     dec = eigendecompose(h)
     expected = unitary_oracle(h, 1.0)[0, 2]
     assert abs(evolution_amplitude(dec, 1.0, 0, 2) - expected) <= 1e-9
@@ -75,7 +74,7 @@ def test_transfer_probability_p2() -> None:
 
 def test_p6_time_sweep_matches_oracle() -> None:
     p6 = path_graph(6)
-    h = hamiltonian_matrix(HamiltonianSpec(Adjacency(), p6))
+    h = hamiltonian_matrix(Adjacency(), p6)
     dec = eigendecompose(h)
     for t in np.linspace(0.5, 30.0, 12):
         expected = abs(unitary_oracle(h, float(t))[0, 5]) ** 2
@@ -110,8 +109,7 @@ def test_two_level_candidate_p2() -> None:
 
 
 def test_two_level_candidate_matches_dense_argmax() -> None:
-    spec = HamiltonianSpec(LoopPerturbed(0, 5, -143.0), path_graph(6))
-    dec = eigendecompose(hamiltonian_matrix(spec))
+    dec = _decompose(LoopPerturbed(0, 5, -143.0), path_graph(6))
     t_star = two_level_candidate_time(dec, 0, 5)
     grid = np.linspace(0.0, 2.0 * t_star, 20001)
     t_best, _ = dense_peak(dec, 0, 5, grid)
@@ -119,8 +117,7 @@ def test_two_level_candidate_matches_dense_argmax() -> None:
 
 
 def test_two_level_candidate_near_first_lobe_k24() -> None:
-    spec = HamiltonianSpec(LoopPerturbed(0, 1, 50.0), complete_bipartite(2, 4))
-    dec = eigendecompose(hamiltonian_matrix(spec))
+    dec = _decompose(LoopPerturbed(0, 1, 50.0), complete_bipartite(2, 4))
     t_star = two_level_candidate_time(dec, 0, 1)
     lobe = np.linspace(0.9 * t_star, 1.1 * t_star, 20001)
     t_best, _ = dense_peak(dec, 0, 1, lobe)
@@ -215,7 +212,7 @@ def test_global_phase_and_sign_invariance() -> None:
     rng = np.random.default_rng(59)
     for _ in range(50):
         g = random_graph(rng)
-        h = hamiltonian_matrix(HamiltonianSpec(random_model(rng, g), g))
+        h = hamiltonian_matrix(random_model(rng, g), g)
         t = float(rng.uniform(0.1, 20.0))
         u, v = (int(x) for x in rng.integers(0, g.n, size=2))
         base = abs(evolution_amplitude(eigendecompose(h), t, u, v))
@@ -241,7 +238,7 @@ def test_spectral_evolution_matches_taylor_oracle() -> None:
     rng = np.random.default_rng(67)
     for _ in range(50):
         g = random_graph(rng, n_max=10)
-        h = hamiltonian_matrix(HamiltonianSpec(random_model(rng, g), g))
+        h = hamiltonian_matrix(random_model(rng, g), g)
         t = float(rng.uniform(0.1, 20.0))
         diff = evolution_operator(eigendecompose(h), t) - unitary_oracle(h, t)
         assert float(np.max(np.abs(diff))) <= 1e-8

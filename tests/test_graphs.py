@@ -46,8 +46,11 @@ def test_from_edge_list_malformed_line_reports_number() -> None:
 
 
 def test_from_edge_list_index_beyond_declared_n() -> None:
-    with pytest.raises(EdgeListError, match="declared"):
-        from_edge_list("n=2\n0 5")
+    # each index is checked on the line that names it, so the earliest bad line is reported
+    for text, line in (("n=2\n0 5", 2), ("n=3\n0 1\nloop 7 1.0", 3), ("n=3\nloop 7 1.0\n0 9", 2)):
+        with pytest.raises(EdgeListError, match="declared") as err:
+            from_edge_list(text)
+        assert err.value.line == line
 
 
 def test_from_edge_list_comments_blanks_and_loops() -> None:

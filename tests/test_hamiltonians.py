@@ -9,7 +9,6 @@ from glwalk import (
     DegreeStructureError,
     Generalized,
     Graph,
-    HamiltonianSpec,
     Laplacian,
     LoopPerturbed,
     SignlessLaplacian,
@@ -21,30 +20,26 @@ from glwalk import (
     model_name,
     parse_model,
     path_graph,
-    reduced_spec,
+    reduced_model,
 )
-
-
-def _matrix(model, graph):
-    return hamiltonian_matrix(HamiltonianSpec(model, graph))
 
 
 def test_generalized_zero_is_adjacency() -> None:
     rng = np.random.default_rng(23)
     for _ in range(10):
         g = random_graph(rng)
-        assert np.array_equal(_matrix(Generalized(0.0), g), _matrix(Adjacency(), g))
+        assert np.array_equal(hamiltonian_matrix(Generalized(0.0), g), hamiltonian_matrix(Adjacency(), g))
 
 
 def test_generalized_one_is_signless_laplacian() -> None:
     p3 = path_graph(3)
-    assert np.array_equal(_matrix(Generalized(1.0), p3), _matrix(SignlessLaplacian(), p3))
+    assert np.array_equal(hamiltonian_matrix(Generalized(1.0), p3), hamiltonian_matrix(SignlessLaplacian(), p3))
 
 
 def test_generalized_minus_one_is_laplacian() -> None:
     p3 = path_graph(3)
-    h = _matrix(Generalized(-1.0), p3)
-    assert np.array_equal(h, _matrix(Laplacian(), p3))
+    h = hamiltonian_matrix(Generalized(-1.0), p3)
+    assert np.array_equal(h, hamiltonian_matrix(Laplacian(), p3))
     a = p3.adjacency_matrix()
     d = np.diag(p3.degree_vector().astype(float))
     assert np.array_equal(h, d - a)
@@ -52,7 +47,7 @@ def test_generalized_minus_one_is_laplacian() -> None:
 
 def test_loop_perturbed_matrix_p6() -> None:
     p6 = path_graph(6)
-    h = _matrix(LoopPerturbed(0, 5, -143.0), p6)
+    h = hamiltonian_matrix(LoopPerturbed(0, 5, -143.0), p6)
     expected = -p6.adjacency_matrix()
     expected[0, 0] = 143.0
     expected[5, 5] = 143.0
@@ -63,10 +58,10 @@ def test_graph_loop_weights_fold_into_every_model() -> None:
     bare = path_graph(6)
     weighted = Graph(n=6, edges=bare.edges, loop_weights={0: -7.5, 5: -7.5})
     assert np.array_equal(
-        _matrix(Adjacency(), weighted), _matrix(LoopPerturbed(0, 5, -7.5), bare)
+        hamiltonian_matrix(Adjacency(), weighted), hamiltonian_matrix(LoopPerturbed(0, 5, -7.5), bare)
     )
     # and they stack: a loop-perturbed model on a weighted graph adds both
-    h = _matrix(LoopPerturbed(0, 5, 2.0), weighted)
+    h = hamiltonian_matrix(LoopPerturbed(0, 5, 2.0), weighted)
     assert h[0, 0] == pytest.approx(7.5 - 2.0)
 
 
@@ -74,7 +69,7 @@ def test_hamiltonian_always_exactly_symmetric() -> None:
     rng = np.random.default_rng(29)
     for _ in range(30):
         g = random_graph(rng)
-        h = _matrix(random_model(rng, g), g)
+        h = hamiltonian_matrix(random_model(rng, g), g)
         assert np.array_equal(h, h.T)
 
 
@@ -83,7 +78,7 @@ def test_generalized_diagonal_and_offdiagonal() -> None:
     for _ in range(10):
         g = random_graph(rng, allow_loops=False)
         k = float(rng.uniform(-4.0, 4.0))
-        h = _matrix(Generalized(k), g)
+        h = hamiltonian_matrix(Generalized(k), g)
         deg = g.degree_vector().astype(float)
         assert np.allclose(np.diag(h), -k * deg, atol=0.0)
         off = h - np.diag(np.diag(h))
@@ -94,30 +89,27 @@ def test_loop_perturbed_validation() -> None:
     with pytest.raises(ValueError):
         LoopPerturbed(2, 2, 1.0)
     with pytest.raises(IndexError):
-        _matrix(LoopPerturbed(0, 9, 1.0), path_graph(3))
+        hamiltonian_matrix(LoopPerturbed(0, 9, 1.0), path_graph(3))
 
 
-def test_reduced_spec_path() -> None:
-    spec, q = reduced_spec(path_graph(6), 0, 5, 143.0)
-    assert q == -143.0
-    assert spec.model == LoopPerturbed(0, 5, -143.0)
+def test_reduced_model_path() -> None:
+    assert reduced_model(path_graph(6), 0, 5, 143.0) == LoopPerturbed(0, 5, -143.0)
 
 
-def test_reduced_spec_bipartite() -> None:
-    _, q = reduced_spec(complete_bipartite(2, 4), 0, 1, 3.0)
-    assert q == 6.0
+def test_reduced_model_bipartite() -> None:
+    assert reduced_model(complete_bipartite(2, 4), 0, 1, 3.0).q == 6.0
 
 
-def test_reduced_spec_structure_errors() -> None:
+def test_reduced_model_structure_errors() -> None:
     k24 = complete_bipartite(2, 4)
     with pytest.raises(DegreeStructureError):
-        reduced_spec(k24, 0, 2, 1.0)  # degrees 4 and 2 differ
+        reduced_model(k24, 0, 2, 1.0)  # degrees 4 and 2 differ
     with pytest.raises(DegreeStructureError, match="vertex 2"):
-        reduced_spec(path_graph(6), 1, 4, 1.0)  # vertex 0 sets background 1, vertex 2 breaks it
+        reduced_model(path_graph(6), 1, 4, 1.0)  # vertex 0 sets background 1, vertex 2 breaks it
     with pytest.raises(DegreeStructureError):
-        reduced_spec(cycle_graph(5), 0, 2, 1.0)  # single degree class
+        reduced_model(cycle_graph(5), 0, 2, 1.0)  # single degree class
     with pytest.raises(DegreeStructureError):
-        reduced_spec(path_graph(2), 0, 1, 1.0)  # nobody outside the pair
+        reduced_model(path_graph(2), 0, 1, 1.0)  # nobody outside the pair
 
 
 def test_parse_model() -> None:
@@ -161,9 +153,9 @@ def test_named_models_are_generalized_members_bit_for_bit() -> None:
     assert len(graphs) >= 10
     for g in graphs:
         for name, (k, alias) in named.items():
-            expected = _matrix(Generalized(k), g)
+            expected = hamiltonian_matrix(Generalized(k), g)
             for model in (parse_model(name), alias()):
-                h = _matrix(model, g)
+                h = hamiltonian_matrix(model, g)
                 assert np.array_equal(h, expected), name
                 assert np.array_equal(np.signbit(h), np.signbit(expected)), name
 
@@ -176,9 +168,8 @@ def test_loop_weight_reduction_preserves_transfer_magnitude() -> None:
         for _ in range(20):
             k = float(rng.uniform(-10.0, 10.0))
             t = float(rng.uniform(0.1, 20.0))
-            full = eigendecompose(_matrix(Generalized(k), g))
-            spec, _ = reduced_spec(g, u, v, k)
-            reduced = eigendecompose(hamiltonian_matrix(spec))
+            full = eigendecompose(hamiltonian_matrix(Generalized(k), g))
+            reduced = eigendecompose(hamiltonian_matrix(reduced_model(g, u, v, k), g))
             diff = abs(
                 abs(evolution_amplitude(full, t, u, v))
                 - abs(evolution_amplitude(reduced, t, u, v))

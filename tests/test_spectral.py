@@ -10,7 +10,6 @@ from glwalk import (
     Adjacency,
     Generalized,
     GroupSign,
-    HamiltonianSpec,
     complete_bipartite,
     cycle_graph,
     eigendecompose,
@@ -197,7 +196,7 @@ def _reduction_cases():
 def test_group_reductions_equal_per_group_reference() -> None:
     sizes = set()
     for g, model in _reduction_cases():
-        dec = eigendecompose(hamiltonian_matrix(HamiltonianSpec(model, g)))
+        dec = eigendecompose(hamiltonian_matrix(model, g))
         for column in dec.eigenvectors.T:
             assert column[np.abs(column) > SIGN_REFERENCE_TOL][0] >= 0.0
         projectors = spectral_projectors(dec)
