@@ -96,10 +96,24 @@ def _order_json(order: int | float):
     return "infinite" if math.isinf(order) else int(order)
 
 
-def _csv(columns, rows) -> str:
-    """CSV text: the header, then each row as 17-significant-digit values."""
+#: rows formatted by one % call; one call over a whole 20000-row curve is slower
+CSV_BLOCK_ROWS = 4096
+
+
+def _csv(columns, *values) -> str:
+    """CSV text: the header, then each row as 17-significant-digit values.
+
+    values holds one sequence per column. The columns are stacked as float64
+    (a 0/1 marker prints as 1 or 0 all the same) and each block of rows is
+    formatted by one % over a tuple of Python floats.
+    """
+    table = np.column_stack(values)
     line = ",".join(["%.17g"] * len(columns)) + "\n"
-    return ",".join(columns) + "\n" + "".join(line % row for row in rows)
+    parts = [",".join(columns) + "\n"]
+    for start in range(0, len(table), CSV_BLOCK_ROWS):
+        block = table[start : start + CSV_BLOCK_ROWS]
+        parts.append(line * len(block) % tuple(block.ravel().tolist()))
+    return "".join(parts)
 
 
 def _decompose(graph: Graph, model: Model):
@@ -111,10 +125,10 @@ def _cmd_fidelity(args, graph: Graph) -> dict | str:
     curve = fidelity_curve(dec, args.u, args.v, args.tmax, args.samples)
     if args.json:
         return {
-            "times": [float(t) for t in curve.times],
-            "probabilities": [float(p) for p in curve.probabilities],
+            "times": curve.times.tolist(),
+            "probabilities": curve.probabilities.tolist(),
         }
-    return _csv(("t", "probability"), zip(curve.times, curve.probabilities))
+    return _csv(("t", "probability"), curve.times, curve.probabilities)
 
 
 def _cmd_peak(args, graph: Graph) -> dict:
@@ -184,7 +198,8 @@ def _cmd_sweep(args, graph: Graph) -> dict | str:
         rows.append(row)
     if args.json:
         return {"k_min_threshold": k_min_threshold, "rows": rows}
-    return _csv(list(rows[0]), (tuple(row.values()) for row in rows))
+    columns = list(rows[0])
+    return _csv(columns, *([row[c] for row in rows] for c in columns))
 
 
 def _cmd_bound(args, graph: Graph) -> dict:

@@ -83,11 +83,11 @@ class Graph:
 
     def degree_vector(self) -> np.ndarray:
         """Edge-incidence counts per vertex; loop weights do not contribute."""
-        deg = np.zeros(self.n, dtype=np.int64)
+        deg = [0] * self.n
         for u, v in self.edges:
             deg[u] += 1
             deg[v] += 1
-        return deg
+        return np.array(deg, dtype=np.int64)
 
     def max_degree(self) -> int:
         return int(self.degree_vector().max())

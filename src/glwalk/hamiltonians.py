@@ -62,18 +62,21 @@ Model = Union[Generalized, LoopPerturbed]
 
 def hamiltonian_matrix(model: Model, graph: Graph) -> np.ndarray:
     """Dense Hamiltonian of the model on graph; exactly symmetric by construction."""
-    a = graph.adjacency_matrix()
     if isinstance(model, Generalized):
-        h = -(a + model.k * np.diag(graph.degree_vector().astype(float)))
+        diagonal = model.k * graph.degree_vector()
     elif isinstance(model, LoopPerturbed):
         graph.check_vertex(model.u)
         graph.check_vertex(model.v)
-        perturbation = np.zeros_like(a)
-        perturbation[model.u, model.u] = model.q
-        perturbation[model.v, model.v] = model.q
-        h = -(a + perturbation)
+        diagonal = np.zeros(graph.n)
+        diagonal[[model.u, model.v]] = model.q
     else:
         raise TypeError(f"unknown model {model!r}")
+    # -(a + diag(diagonal)) built in the fresh adjacency buffer, bit for bit:
+    # off-diagonal a_ij is 0.0 or 1.0, which adding the +-0.0 of a diagonal
+    # matrix leaves unchanged, and a_ii + diagonal_i is the same addition
+    h = graph.adjacency_matrix()
+    h[np.diag_indices_from(h)] += diagonal
+    np.negative(h, out=h)
     h.setflags(write=False)
     return h
 

@@ -4,6 +4,7 @@ import json
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from glwalk import (
@@ -541,6 +542,35 @@ def test_csv_uses_17_significant_digits(capsys) -> None:
     )
     t_mid = out.splitlines()[2].split(",")[0]
     assert t_mid == format(0.5, ".17g")
+
+
+def test_csv_matches_per_row_reference() -> None:
+    def per_row(columns, rows) -> str:
+        line = ",".join(["%.17g"] * len(columns)) + "\n"
+        return ",".join(columns) + "\n" + "".join(line % row for row in rows)
+
+    chunk = glwalk.cli.CSV_BLOCK_ROWS
+    special = [0.0, -0.0, 5e-324, 1e308, 0.1, 1 / 3]
+    rng = np.random.default_rng(53)
+    for rows in (1, 2, chunk - 1, chunk, chunk + 1, 3 * chunk + 7):
+        k = rng.normal(scale=1e3, size=rows)
+        p = rng.random(rows)
+        p[: len(special)] = special[:rows]
+        marker = [int(x) for x in rng.integers(0, 2, size=rows)]
+        columns = ("k", "fidelity", "crosses_threshold")
+        expected = per_row(columns, zip(k, p, marker))
+        assert glwalk.cli._csv(columns, k, p, marker) == expected, rows
+        assert glwalk.cli._csv(columns[:2], k, p) == per_row(columns[:2], zip(k, p)), rows
+
+    times, probabilities = np.linspace(0.0, 40.0, 20000), rng.random(20000)
+    tracemalloc.start()
+    try:
+        out = glwalk.cli._csv(("t", "probability"), times, probabilities)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out == per_row(("t", "probability"), zip(times, probabilities))
+    assert peak < 3 * len(out)
 
 
 @pytest.mark.parametrize(

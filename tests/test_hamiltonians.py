@@ -160,6 +160,41 @@ def test_named_models_are_generalized_members_bit_for_bit() -> None:
                 assert np.array_equal(np.signbit(h), np.signbit(expected)), name
 
 
+def test_hamiltonian_matches_reference_bits() -> None:
+    # the in-place build equals -(a + k*diag(d)) and -(a + q*(E_u + E_v))
+    # entry for entry, signs of zero included
+    rng = np.random.default_rng(59)
+    graphs = [random_graph(rng) for _ in range(40)]
+    graphs += [
+        Graph(n=3),
+        Graph(n=5, edges=frozenset({(0, 1), (1, 2)}), loop_weights={3: -0.0, 4: 2.5, 0: -1.25}),
+        Graph(n=4, edges=frozenset({(1, 2)}), loop_weights={0: 0.0}),
+    ]
+    assert any(g.loop_weights for g in graphs)
+    assert any(0 in g.degree_vector() and g.edges for g in graphs)
+    ks = [0.0, -0.0, 1.0, -1.0, 143.2, -143.2, *rng.uniform(-200.0, 200.0, size=20)]
+    for g in graphs:
+        a = g.adjacency_matrix()
+        d = g.degree_vector()
+        assert d.dtype == np.int64
+        counted = [0] * g.n
+        for u, v in g.edges:
+            counted[u] += 1
+            counted[v] += 1
+        assert d.tolist() == counted
+        for k in ks:
+            expected = -(a + k * np.diag(d.astype(float)))
+            h = hamiltonian_matrix(Generalized(float(k)), g)
+            assert np.array_equal(h, expected), (g, k)
+            assert np.array_equal(np.signbit(h), np.signbit(expected)), (g, k)
+            perturbation = np.zeros_like(a)
+            perturbation[0, 0] = perturbation[g.n - 1, g.n - 1] = k
+            expected = -(a + perturbation)
+            h = hamiltonian_matrix(LoopPerturbed(0, g.n - 1, float(k)), g)
+            assert np.array_equal(h, expected), (g, k)
+            assert np.array_equal(np.signbit(h), np.signbit(expected)), (g, k)
+
+
 def test_loop_weight_reduction_preserves_transfer_magnitude() -> None:
     # |U(t)_{u,v}| under A + kD equals that under A + q(E_u + E_v), q = k(d1 - d2)
     rng = np.random.default_rng(37)

@@ -137,6 +137,13 @@ EXTRA = [
     "sweep --graph path:20 --u 3 --v 16 --kmin -1.5 --kmax 1.5 --steps 12",
     "sweep --graph cycle:24 --u 0 --v 12 --kmin -1 --kmax 1 --steps 9 --tmax 60 --samples 20001",
     "sweep --graph file:empty4.txt --u 0 --v 3 --kmin -1 --kmax 1 --steps 5 --tmax 20 --samples 1001",
+    # curves around multiples of the CSV block (glwalk.cli.CSV_BLOCK_ROWS = 4096 rows)
+    "fidelity --graph path:20 --model generalized:0.5 --u 3 --v 16 --tmax 40 --samples 4095",
+    "fidelity --graph path:20 --model generalized:0.5 --u 3 --v 16 --tmax 40 --samples 4096",
+    "fidelity --graph cycle:24 --model laplacian --u 0 --v 12 --tmax 40 --samples 4097",
+    "fidelity --graph bipartite:3,9 --model signless --u 0 --v 4 --tmax 40 --samples 8193",
+    "fidelity --graph file:gnp150.txt --model generalized:0.3 --u 3 --v 17 --tmax 60 --samples 20000",
+    "fidelity --graph path:40 --model generalized:-0.7 --u 2 --v 9 --tmax 30 --samples 5001 --json",
     # negative flag values in scientific notation
     "sweep --graph path:6 --u 0 --v 5 --kmin -1.5e2 --kmax 0 --steps 2",
     "sweep --graph path:6 --u 0 --v 5 --kmin=-1.5e2 --kmax 0 --steps 2",
