@@ -30,12 +30,14 @@ from .cospectral import (
     verify_involution,
 )
 from .dynamics import (
+    SWEEP_BLOCK_ENTRIES,
     GridSearch,
+    PeakSearch,
     TwoLevelSearch,
     fidelity_curve,
     peak_fidelity,
     run_peak_searches,
-    start_peak_search,
+    start_peak_searches,
 )
 from .errors import (
     ConvergenceError,
@@ -45,8 +47,8 @@ from .errors import (
     ThresholdHypothesisError,
 )
 from .graphs import Graph, complete_bipartite, cycle_graph, from_edge_list, path_graph
-from .hamiltonians import Generalized, Model, hamiltonian_matrix, parse_model
-from .spectral import eigendecompose, localization_mass
+from .hamiltonians import Generalized, Model, hamiltonian_matrix, hamiltonian_stack, parse_model
+from .spectral import eigendecompose, eigendecompose_stack, localization_mass
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -164,17 +166,15 @@ def _cmd_peak(args, graph: Graph) -> dict:
     }
 
 
-def _sweep_search(args, graph: Graph, k: float):
-    """The started peak search of one sweep step; grid fallback on a degenerate gap.
+def _sweep_block(args, graph: Graph, ks: list[float]) -> list[PeakSearch]:
+    """The started peak searches of one block of k values; grid fallback on a degenerate gap.
 
-    A started search keeps O(n) of the decomposition, which is dropped on
-    return, so a sweep holds one n x n eigenvector matrix at a time.
+    The block's Hamiltonians, decompositions and window arrays are dropped
+    on return, and a started search keeps O(n) of them.
     """
-    dec = _decompose(graph, Generalized(k))
-    try:
-        return start_peak_search(dec, args.u, args.v, TwoLevelSearch())
-    except DegenerateGapError:
-        return start_peak_search(dec, args.u, args.v, GridSearch(t_max=args.tmax, samples=args.samples))
+    decs = eigendecompose_stack(hamiltonian_stack([Generalized(k) for k in ks], graph))
+    fallback = GridSearch(t_max=args.tmax, samples=args.samples)
+    return start_peak_searches(decs, args.u, args.v, TwoLevelSearch(), fallback)
 
 
 def _cmd_sweep(args, graph: Graph) -> dict | str:
@@ -186,14 +186,18 @@ def _cmd_sweep(args, graph: Graph) -> dict | str:
     if args.threshold or args.epsilon is not None:
         epsilon = args.epsilon if args.epsilon is not None else 0.1
         k_min_threshold = k_threshold_two_class(graph, args.u, args.v, epsilon).k_min
-    ks = np.linspace(args.kmin, args.kmax, args.steps)
-    peaks = run_peak_searches([_sweep_search(args, graph, float(k)) for k in ks])
+    ks = np.linspace(args.kmin, args.kmax, args.steps).tolist()
+    # a block holds at most SWEEP_BLOCK_ENTRIES matrix entries or window samples
+    block = max(1, SWEEP_BLOCK_ENTRIES // max(graph.n**2, TwoLevelSearch().refine_samples))
+    peaks = run_peak_searches(
+        [search for i in range(0, len(ks), block) for search in _sweep_block(args, graph, ks[i : i + block])]
+    )
     rows = []
     crossed = False
     for k, peak in zip(ks, peaks):
-        row = {"k": float(k), "fidelity": peak.fidelity, "t_star": peak.t_star}
+        row = {"k": k, "fidelity": peak.fidelity, "t_star": peak.t_star}
         if k_min_threshold is not None:
-            row["crosses_threshold"] = int(not crossed and abs(row["k"]) > k_min_threshold)
+            row["crosses_threshold"] = int(not crossed and abs(k) > k_min_threshold)
             crossed = crossed or row["crosses_threshold"] == 1
         rows.append(row)
     if args.json:

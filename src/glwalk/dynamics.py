@@ -11,35 +11,43 @@ sqrt(S) x n x sqrt(S) complex matrix product, with O(sqrt(S)*n + S) memory,
 in place of S*n exponentials held at once. amplitude_series keeps the direct
 S*n evaluation for arbitrary times.
 
-Peak searches are step-wise. start_peak_search validates the strategy, seeds
-the search and scans its sample window, then keeps only the phases -i*lambda
-and the weights V[u]*V[v]; its steps yield each time the golden-section
-refine needs and receive |U(t)_{u,v}| there. run_peak_searches drives any
-number of started searches in lockstep: each round evaluates every pending
-time with one np.exp over the stacked phases and one (K,1,n) @ (K,n,1)
-np.matmul. peak_fidelity is the one-search case, and a k sweep runs one
-search per k. The form keeps every reported fidelity bit-identical to
-abs(evolution_amplitude(...)) at its time: matmul takes each slice's product
-with the same dot as the 1-D product (a (K,n) row-wise product or a sum
-rounds differently), and magnitudes go through Python abs, which np.abs on
-a complex array does not always match.
+Peak searches are step-wise. start_peak_searches validates the strategy,
+seeds the searches and scans their sample windows on stacked arrays: one
+group_sums over all the spectra for the two-level candidates and one
+batched window product per stack of scans. It then keeps only each search's
+phases -i*lambda and weights V[u]*V[v]; a search's steps yield each time
+the golden-section refine needs and receive |U(t)_{u,v}| there.
+run_peak_searches drives any number of started searches in lockstep: each
+round evaluates every pending time with one np.exp over the stacked phases
+and one (K,1,n) @ (K,n,1) np.matmul. start_peak_search and peak_fidelity
+are the one-search cases, and a k sweep starts its searches a block of k
+values at a time. The stacked forms keep every result bit-identical to the
+search run alone: matmul takes each slice's product with the same dot as
+the 2-D product (a (K,n) row-wise product or a sum rounds differently),
+every other stacked operation is elementwise or per row, and reported
+magnitudes go through Python abs, which np.abs on a complex array does not
+always match.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Generator
+from collections.abc import Generator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateGapError
-from .spectral import EigenDecomposition, group_eigenvalues, localization_mass
+from .spectral import EigenDecomposition, group_sums
 
 # gap below this fraction of the spectral range counts as degenerate
 DEGENERATE_GAP_SCALE = 1e-13
 # golden-section refinement stops at this relative bracket width
 REFINE_RELATIVE_WIDTH = 1e-12
+#: a stack holds at most this many matrix entries or scan samples: a sweep
+#: decomposes max(1, SWEEP_BLOCK_ENTRIES // max(n*n, refine samples)) k values
+#: at once, and scans of S samples run SWEEP_BLOCK_ENTRIES // S at a time
+SWEEP_BLOCK_ENTRIES = 2**14
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -89,22 +97,50 @@ def amplitude_series(dec: EigenDecomposition, times: np.ndarray, u: int, v: int)
     return np.exp(-1j * np.outer(np.asarray(times, dtype=float), dec.eigenvalues)) @ weights
 
 
-def _uniform_series(
-    dec: EigenDecomposition, u: int, v: int, start: float, stop: float, samples: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Times np.linspace(start, stop, samples) and amplitude_series on them.
+def _linspace_rows(start: np.ndarray, stop: np.ndarray, samples: int) -> np.ndarray:
+    """Row i is np.linspace(start[i], stop[i], samples), bit for bit.
 
-    Sample j = J*B + m, with B = isqrt(samples) and step h, takes its phase
-    exp(-i*lam*t_j) as exp(-i*lam*t_{J*B}) * exp(-i*lam*m*h); the block starts
-    are grid points, and the offset table carries the weights V[u]*V[v].
+    The same arithmetic as np.linspace, j*step + start with the last sample
+    set to stop, and (j/div)*delta where the step underflows to zero; laid
+    out (K, samples) so each operation runs along a row, where np.linspace
+    with array endpoints runs K entries at a time.
     """
-    times = np.linspace(start, stop, samples)
+    delta = stop - start
+    step = delta / (samples - 1)
+    times = np.arange(samples, dtype=float) * step[:, None]
+    flat = step == 0
+    if flat.any():
+        times[flat] = np.arange(samples, dtype=float) / (samples - 1) * delta[flat, None]
+    times += start[:, None]
+    times[:, -1] = stop
+    return times
+
+
+def _uniform_series(
+    eigenvalues: np.ndarray, weights: np.ndarray, start: np.ndarray, stop: np.ndarray, samples: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row i: times np.linspace(start[i], stop[i], samples) and the amplitudes there.
+
+    eigenvalues and the weights V[u]*V[v] are (K, n) arrays, start and stop
+    (K,) arrays. Sample j = J*B + m, with B = isqrt(samples) and step h,
+    takes its phase exp(-i*lam*t_j) as exp(-i*lam*t_{J*B}) * exp(-i*lam*m*h);
+    the block starts are grid points, and the offset table carries the
+    weights. One (K, nb, n) @ (K, n, B) matmul forms every row.
+    """
+    times = _linspace_rows(start, stop, samples)
     width = math.isqrt(samples)
     step = (stop - start) / (samples - 1)
-    weights = dec.eigenvectors[u] * dec.eigenvectors[v]
-    offsets = weights * np.exp(-1j * np.outer(np.arange(width) * step, dec.eigenvalues))
-    blocks = np.exp(-1j * np.outer(times[::width], dec.eigenvalues))
-    return times, (blocks @ offsets.T).ravel()[:samples]
+    shifts = (np.arange(width) * step[:, None])[:, :, None] * eigenvalues[:, None, :]
+    offsets = weights[:, None, :] * np.exp(-1j * shifts)
+    blocks = np.exp(-1j * (times[:, ::width, None] * eigenvalues[:, None, :]))
+    amplitudes = np.matmul(blocks, offsets.transpose(0, 2, 1))
+    return times, amplitudes.reshape(len(times), -1)[:, :samples]
+
+
+def _check_phases(t_max: float, eigenvalues: np.ndarray) -> None:
+    # in Python floats: the numpy product would warn as it overflows
+    if not math.isfinite(float(np.abs(eigenvalues).max()) * t_max):
+        raise ValueError(f"t_max {t_max!r} overflows the phases: max|eigenvalue| * t_max is not finite")
 
 
 def evolution_operator(dec: EigenDecomposition, t: float) -> np.ndarray:
@@ -123,11 +159,47 @@ def fidelity_curve(dec: EigenDecomposition, u: int, v: int, t_max: float, sample
         raise ValueError(f"t_max must be positive and finite, got {t_max!r}")
     if samples < 2:
         raise ValueError("need at least two samples")
-    times, amplitudes = _uniform_series(dec, u, v, 0.0, t_max, samples)
-    probabilities = np.abs(amplitudes) ** 2
+    _check_phases(t_max, dec.eigenvalues)
+    weights = dec.eigenvectors[u] * dec.eigenvectors[v]
+    times, amplitudes = _uniform_series(
+        dec.eigenvalues[None], weights[None], np.zeros(1), np.array([t_max]), samples
+    )
+    times, probabilities = times[0], np.abs(amplitudes[0]) ** 2
     times.setflags(write=False)
     probabilities.setflags(write=False)
     return FidelityCurve(times=times, probabilities=probabilities)
+
+
+def _two_level_candidates(
+    decs: Sequence[EigenDecomposition], eigenvalues: np.ndarray, pairs: np.ndarray
+) -> list[float | DegenerateGapError]:
+    """two_level_candidate_time of each decomposition, or the error it raises.
+
+    eigenvalues stacks the spectra (K, n) and pairs the rows V[u], V[v]
+    (K, 2, n). One group_sums over all K spectra gives every group's pair
+    mass (P_r)_{uu} + (P_r)_{vv} and eigenvalue sum.
+    """
+    sizes = [size for dec in decs for size in dec.group_sizes]
+    rows = np.concatenate([(pairs**2).transpose(1, 0, 2), eigenvalues[None]]).reshape(3, -1)
+    diag_u, diag_v, sums = group_sums(rows, sizes)
+    masses = diag_u + diag_v
+    means = (sums / sizes).tolist()
+    candidates: list[float | DegenerateGapError] = []
+    stop = 0
+    for dec in decs:
+        start, stop = stop, stop + len(dec.groups)
+        if stop - start < 2:
+            candidates.append(DegenerateGapError("fewer than two eigenvalue groups; no beat frequency exists"))
+            continue
+        first, second = (start + np.argsort(-masses[start:stop], kind="stable")[:2]).tolist()
+        gap = abs(means[first] - means[second])
+        if gap < DEGENERATE_GAP_SCALE * dec.spectral_range:
+            candidates.append(
+                DegenerateGapError(f"top localized groups are degenerate (gap {gap:.3e}); use a grid search")
+            )
+        else:
+            candidates.append(math.pi / gap)
+    return candidates
 
 
 def two_level_candidate_time(dec: EigenDecomposition, u: int, v: int) -> float:
@@ -138,16 +210,11 @@ def two_level_candidate_time(dec: EigenDecomposition, u: int, v: int) -> float:
     DegenerateGapError when that gap is numerically zero (PST-like degeneracy);
     callers should fall back to a grid search in that case.
     """
-    if len(dec.groups) < 2:
-        raise DegenerateGapError("fewer than two eigenvalue groups; no beat frequency exists")
-    first, second = np.argsort(-localization_mass(dec, u, v), kind="stable")[:2]
-    eigenvalues = group_eigenvalues(dec)
-    gap = float(abs(eigenvalues[first] - eigenvalues[second]))
-    if gap < DEGENERATE_GAP_SCALE * dec.spectral_range:
-        raise DegenerateGapError(
-            f"top localized groups are degenerate (gap {gap:.3e}); use a grid search"
-        )
-    return math.pi / gap
+    pairs = np.array([(dec.eigenvectors[u], dec.eigenvectors[v])])
+    candidate = _two_level_candidates([dec], dec.eigenvalues[None], pairs)[0]
+    if isinstance(candidate, DegenerateGapError):
+        raise candidate
+    return candidate
 
 
 def _golden_max(a: float, b: float):
@@ -206,6 +273,88 @@ class PeakSearch:
     steps: Generator
 
 
+def _check_strategy(strategy: GridSearch | TwoLevelSearch) -> None:
+    if isinstance(strategy, TwoLevelSearch):
+        if not 0 < strategy.refine_window_fraction < 1:
+            raise ValueError("refine_window_fraction must lie in (0, 1)")
+        if strategy.refine_samples < 3:
+            raise ValueError("need at least three refinement samples")
+    else:
+        if not 0 < strategy.t_max < math.inf:
+            raise ValueError(f"t_max must be positive and finite, got {strategy.t_max!r}")
+        if strategy.samples < 3:
+            raise ValueError("need at least three grid samples")
+
+
+def _scan(
+    strategy: GridSearch | TwoLevelSearch, eigenvalues: np.ndarray, weights: np.ndarray, candidates: list
+) -> list[Generator]:
+    # the steps of each row's search: its window scanned, the best sample
+    # and its neighbors picked as in the one-search form
+    if isinstance(strategy, TwoLevelSearch):
+        samples, t_candidates = strategy.refine_samples, np.array(candidates)
+        start = t_candidates * (1.0 - strategy.refine_window_fraction)
+        stop = t_candidates * (1.0 + strategy.refine_window_fraction)
+    else:
+        _check_phases(strategy.t_max, eigenvalues)
+        samples, start = strategy.samples, np.zeros(len(candidates))
+        stop = np.array([strategy.t_max] * len(candidates))
+    times, amplitudes = _uniform_series(eigenvalues, weights, start, stop, samples)
+    steps = []
+    for i, j in enumerate(np.argmax(np.abs(amplitudes), axis=1).tolist()):
+        lo, hi = max(j - 1, 0), min(j + 1, samples - 1)
+        steps.append(_search_steps(candidates[i], float(times[i, j]), float(times[i, lo]), float(times[i, hi])))
+    return steps
+
+
+def start_peak_searches(
+    decs: Sequence[EigenDecomposition],
+    u: int,
+    v: int,
+    strategy: GridSearch | TwoLevelSearch,
+    fallback: GridSearch | None = None,
+) -> list[PeakSearch]:
+    """start_peak_search of each decomposition (all of one size), stage by stage on stacked arrays.
+
+    A decomposition whose two-level candidate raises DegenerateGapError is
+    searched with fallback instead; without a fallback the error propagates.
+    Scans of S samples run max(1, SWEEP_BLOCK_ENTRIES // S) decompositions
+    at a time. Each search equals start_peak_search of its decomposition
+    alone and, like it, holds O(n) data and no reference to the
+    decomposition.
+    """
+    _check_strategy(strategy)
+    eigenvalues = np.array([dec.eigenvalues for dec in decs])
+    pairs = np.array([(dec.eigenvectors[u], dec.eigenvectors[v]) for dec in decs])
+    if isinstance(strategy, TwoLevelSearch):
+        candidates = _two_level_candidates(decs, eigenvalues, pairs)
+    else:
+        candidates = [None] * len(decs)
+    members: dict[GridSearch | TwoLevelSearch, list[int]] = {}
+    for i, candidate in enumerate(candidates):
+        chosen = strategy
+        if isinstance(candidate, DegenerateGapError):
+            if fallback is None:
+                raise candidate
+            _check_strategy(fallback)
+            chosen, candidates[i] = fallback, None
+        members.setdefault(chosen, []).append(i)
+    weights = pairs[:, 0] * pairs[:, 1]
+    phases = -1j * eigenvalues
+    searches: list[PeakSearch] = [None] * len(decs)
+    for chosen, indices in members.items():
+        samples = chosen.refine_samples if isinstance(chosen, TwoLevelSearch) else chosen.samples
+        chunk = max(1, SWEEP_BLOCK_ENTRIES // samples)
+        for lo in range(0, len(indices), chunk):
+            stack = indices[lo : lo + chunk]
+            # a stack of every decomposition is read in place
+            rows = stack if len(stack) < len(decs) else slice(None)
+            steps = _scan(chosen, eigenvalues[rows], weights[rows], [candidates[i] for i in stack])
+            for i, search_steps in zip(stack, steps):
+                searches[i] = PeakSearch(phases=phases[i], weights=weights[i], steps=search_steps)
+    return searches
+
+
 def start_peak_search(
     dec: EigenDecomposition, u: int, v: int, strategy: GridSearch | TwoLevelSearch
 ) -> PeakSearch:
@@ -215,35 +364,7 @@ def start_peak_search(
     any time is evaluated. The window's arrays are dropped here, so a
     started search holds O(n) data and no reference to dec.
     """
-    if isinstance(strategy, TwoLevelSearch):
-        if not 0 < strategy.refine_window_fraction < 1:
-            raise ValueError("refine_window_fraction must lie in (0, 1)")
-        if strategy.refine_samples < 3:
-            raise ValueError("need at least three refinement samples")
-        t_candidate = two_level_candidate_time(dec, u, v)
-        grid = (
-            t_candidate * (1.0 - strategy.refine_window_fraction),
-            t_candidate * (1.0 + strategy.refine_window_fraction),
-            strategy.refine_samples,
-        )
-    else:
-        if not 0 < strategy.t_max < math.inf:
-            raise ValueError(f"t_max must be positive and finite, got {strategy.t_max!r}")
-        if strategy.samples < 3:
-            raise ValueError("need at least three grid samples")
-        t_candidate = None
-        grid = (0.0, strategy.t_max, strategy.samples)
-    times, amplitudes = _uniform_series(dec, u, v, *grid)
-    i = int(np.argmax(np.abs(amplitudes)))
-    steps = _search_steps(
-        t_candidate,
-        float(times[i]),
-        float(times[max(i - 1, 0)]),
-        float(times[min(i + 1, len(times) - 1)]),
-    )
-    return PeakSearch(
-        phases=-1j * dec.eigenvalues, weights=dec.eigenvectors[u] * dec.eigenvectors[v], steps=steps
-    )
+    return start_peak_searches([dec], u, v, strategy)[0]
 
 
 def run_peak_searches(searches: list[PeakSearch]) -> list[PeakResult]:
@@ -287,4 +408,4 @@ def peak_fidelity(
     t* * (1 +- refine_window_fraction); GridSearch takes the best of a uniform
     scan of [0, t_max] and refines between the neighbors of the best sample.
     """
-    return run_peak_searches([start_peak_search(dec, u, v, strategy)])[0]
+    return run_peak_searches(start_peak_searches([dec], u, v, strategy))[0]

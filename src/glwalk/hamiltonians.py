@@ -13,6 +13,7 @@ attached.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
 from typing import Union
@@ -60,25 +61,36 @@ class LoopPerturbed:
 Model = Union[Generalized, LoopPerturbed]
 
 
-def hamiltonian_matrix(model: Model, graph: Graph) -> np.ndarray:
-    """Dense Hamiltonian of the model on graph; exactly symmetric by construction."""
-    if isinstance(model, Generalized):
-        diagonal = model.k * graph.degree_vector()
-    elif isinstance(model, LoopPerturbed):
-        graph.check_vertex(model.u)
-        graph.check_vertex(model.v)
-        diagonal = np.zeros(graph.n)
-        diagonal[[model.u, model.v]] = model.q
-    else:
-        raise TypeError(f"unknown model {model!r}")
-    # -(a + diag(diagonal)) built in the fresh adjacency buffer, bit for bit:
+def hamiltonian_stack(models: Sequence[Model], graph: Graph) -> np.ndarray:
+    """Dense Hamiltonians of models on graph as one (K, n, n) array; each slice exactly symmetric."""
+    diagonals = np.zeros((len(models), graph.n))
+    degrees = None
+    for diagonal, model in zip(diagonals, models):
+        if isinstance(model, Generalized):
+            if degrees is None:
+                degrees = graph.degree_vector()
+            diagonal[:] = model.k * degrees
+        elif isinstance(model, LoopPerturbed):
+            graph.check_vertex(model.u)
+            graph.check_vertex(model.v)
+            diagonal[[model.u, model.v]] = model.q
+        else:
+            raise TypeError(f"unknown model {model!r}")
+    # -(a + diag(diagonal)) built in copies of one adjacency fill, bit for bit:
     # off-diagonal a_ij is 0.0 or 1.0, which adding the +-0.0 of a diagonal
     # matrix leaves unchanged, and a_ii + diagonal_i is the same addition
-    h = graph.adjacency_matrix()
-    h[np.diag_indices_from(h)] += diagonal
+    a = graph.adjacency_matrix()[None]
+    h = a if len(models) == 1 else np.repeat(a, len(models), axis=0)
+    vertices = np.arange(graph.n)
+    h[:, vertices, vertices] += diagonals
     np.negative(h, out=h)
     h.setflags(write=False)
     return h
+
+
+def hamiltonian_matrix(model: Model, graph: Graph) -> np.ndarray:
+    """Dense Hamiltonian of the model on graph; exactly symmetric by construction."""
+    return hamiltonian_stack([model], graph)[0]
 
 
 def reduced_model(graph: Graph, u: int, v: int, k: float) -> LoopPerturbed:

@@ -29,9 +29,10 @@ def residual_tolerance(matrix: np.ndarray) -> float:
     return RESIDUAL_SCALE * max(1.0, norm)
 
 
-def grouping_tolerance(eigenvalues: np.ndarray) -> float:
-    spread = float(eigenvalues[-1] - eigenvalues[0]) if len(eigenvalues) else 0.0
-    return GROUPING_SCALE * max(1.0, spread)
+def grouping_tolerance(eigenvalues: np.ndarray) -> float | np.ndarray:
+    """Gap tolerance of ascending eigenvalues; one per row of a (K, n) stack."""
+    spread = eigenvalues[..., -1] - eigenvalues[..., 0] if eigenvalues.shape[-1] else 0.0
+    return GROUPING_SCALE * np.maximum(1.0, spread)
 
 
 @dataclass(frozen=True)
@@ -91,20 +92,50 @@ class SpectralProjector:
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    # make the first entry above SIGN_REFERENCE_TOL nonnegative, per column;
-    # a column with no such entry is left as it is
-    significant = np.abs(vectors) > SIGN_REFERENCE_TOL
-    columns = np.arange(vectors.shape[1])
-    first = np.argmax(significant, axis=0)
-    flip = significant[first, columns] & (vectors[first, columns] < 0)
-    np.negative(vectors, out=vectors, where=flip)
+    # make the first entry above SIGN_REFERENCE_TOL nonnegative, per column of
+    # each matrix of the stack; a column with no such entry is left as it is
+    stack = vectors.reshape(-1, *vectors.shape[-2:])
+    significant = np.abs(stack) > SIGN_REFERENCE_TOL
+    first = np.argmax(significant, axis=1)
+    members, columns = np.arange(len(stack))[:, None], np.arange(stack.shape[2])
+    flip = significant[members, first, columns] & (stack[members, first, columns] < 0)
+    np.negative(vectors, out=vectors, where=flip.reshape(*vectors.shape[:-2], 1, vectors.shape[-1]))
     return vectors
 
 
-def _group_by_gap(eigenvalues: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    tol = grouping_tolerance(eigenvalues)
-    bounds = [0, *(np.flatnonzero(np.diff(eigenvalues) > tol) + 1).tolist(), len(eigenvalues)]
-    return tuple(tuple(range(a, b)) for a, b in zip(bounds, bounds[1:]))
+def _group_by_gap(eigenvalues: np.ndarray) -> list[tuple[tuple[int, ...], ...]]:
+    # the groups of each row of a (K, n) stack of ascending eigenvalues
+    n = eigenvalues.shape[1]
+    groups = []
+    gaps = eigenvalues[:, 1:] - eigenvalues[:, :-1]
+    for breaks in (gaps > grouping_tolerance(eigenvalues)[:, None]).tolist():
+        bounds = [0, *(i + 1 for i, gap in enumerate(breaks) if gap), n]
+        groups.append(tuple(tuple(range(a, b)) for a, b in zip(bounds, bounds[1:])))
+    return groups
+
+
+def eigendecompose_stack(matrices: np.ndarray) -> list[EigenDecomposition]:
+    """eigendecompose of each slice of a (K, n, n) stack, with one stacked eigh call.
+
+    Each decomposition equals that of its matrix alone bit for bit and views
+    the stack's arrays, which live as long as any of the decompositions.
+    """
+    a = np.asarray(matrices, dtype=float)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError("expected a stack of square matrices")
+    if not (a == a.swapaxes(1, 2)).all():
+        raise ValueError("matrix must be exactly symmetric")
+    try:
+        eigenvalues, vectors = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"symmetric eigensolver did not converge: {exc}") from exc
+    vectors = _fix_signs(vectors)
+    eigenvalues.setflags(write=False)
+    vectors.setflags(write=False)
+    return [
+        EigenDecomposition(eigenvalues=values, eigenvectors=columns, groups=groups)
+        for values, columns, groups in zip(eigenvalues, vectors, _group_by_gap(eigenvalues))
+    ]
 
 
 def eigendecompose(matrix: np.ndarray) -> EigenDecomposition:
@@ -117,18 +148,7 @@ def eigendecompose(matrix: np.ndarray) -> EigenDecomposition:
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expected a square matrix")
-    if not np.array_equal(a, a.T):
-        raise ValueError("matrix must be exactly symmetric")
-    try:
-        eigenvalues, vectors = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"symmetric eigensolver did not converge: {exc}") from exc
-    vectors = _fix_signs(vectors)
-    eigenvalues.setflags(write=False)
-    vectors.setflags(write=False)
-    return EigenDecomposition(
-        eigenvalues=eigenvalues, eigenvectors=vectors, groups=_group_by_gap(eigenvalues)
-    )
+    return eigendecompose_stack(a[None])[0]
 
 
 def group_sums(values: np.ndarray, sizes) -> np.ndarray:

@@ -399,6 +399,10 @@ NAN_LOOP_PATH = "n=6\nloop 0 nan\n0 1\n1 2\n2 3\n3 4\n4 5\n"
         pytest.param("peak --model adjacency --strategy grid --tmax inf --samples 11", "inf", id="peak-tmax-inf"),
         pytest.param("fidelity --model adjacency --tmax nan --samples 11", "nan", id="fidelity-tmax-nan"),
         pytest.param("fidelity --model adjacency --tmax inf --samples 11", "inf", id="fidelity-tmax-inf"),
+        pytest.param(
+            "peak --model adjacency --strategy grid --tmax 1e308 --samples 3", "1e+308", id="peak-tmax-phase-overflow"
+        ),
+        pytest.param("fidelity --model adjacency --tmax 1e308 --samples 3", "1e+308", id="fidelity-tmax-phase-overflow"),
         pytest.param("sweep --kmin nan --kmax 1 --steps 2", "nan", id="sweep-kmin-nan"),
         pytest.param("sweep --kmin 0 --kmax inf --steps 2", "inf", id="sweep-kmax-inf"),
         pytest.param("peak --model generalized:nan", "nan", id="generalized-nan"),
@@ -626,7 +630,9 @@ def test_sweep_rows_equal_per_k_peak(capsys, graph, u, v, kmin, kmax, steps) -> 
 
 
 def test_sweep_memory_does_not_grow_with_steps(capsys) -> None:
-    # a started search keeps O(n) data, so a sweep holds one n x n decomposition at a time
+    # a sweep decomposes max(1, SWEEP_BLOCK_ENTRIES // max(n*n, 2000)) k values at a time, one
+    # at a time from n = 128 on, and a started search keeps O(n) data, so at n = 400 a sweep
+    # holds one n x n decomposition at a time
     def traced_peak(steps: str) -> int:
         argv = [
             "sweep", "--graph", "path:400", "--u", "0", "--v", "399", "--kmin", "-1.3", "--kmax", "1.1",

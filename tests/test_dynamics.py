@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from generators import random_graph, random_model
+from generators import random_graph, random_model, structured_graph
 from glwalk import (
     Adjacency,
     DegenerateGapError,
@@ -20,18 +20,21 @@ from glwalk import (
     amplitude_series,
     complete_bipartite,
     eigendecompose,
+    eigendecompose_stack,
     evolution_amplitude,
     evolution_operator,
     fidelity_curve,
     hamiltonian_matrix,
+    hamiltonian_stack,
     path_graph,
     peak_fidelity,
     run_peak_searches,
     start_peak_search,
+    start_peak_searches,
     transfer_probability,
     two_level_candidate_time,
 )
-from glwalk.dynamics import _uniform_series
+from glwalk.dynamics import _INVPHI, SWEEP_BLOCK_ENTRIES, _linspace_rows, _uniform_series
 from oracles import dense_peak, unitary_oracle
 
 
@@ -252,6 +255,13 @@ def test_amplitude_series_matches_pointwise() -> None:
         assert cmath.isclose(amp, evolution_amplitude(dec, float(t), 0, 4), abs_tol=1e-13)
 
 
+def _pair_series(dec, u, v, start, stop, samples):
+    # _uniform_series of a one-row stack
+    weights = dec.eigenvectors[u] * dec.eigenvectors[v]
+    times, series = _uniform_series(dec.eigenvalues[None], weights[None], np.array([start]), np.array([stop]), samples)
+    return times[0], series[0]
+
+
 @pytest.mark.parametrize("samples", [2, 3, 7, 100, 101, 1009, 10000])
 def test_uniform_series_matches_direct(samples) -> None:
     rng = np.random.default_rng(71 + samples)
@@ -262,10 +272,22 @@ def test_uniform_series_matches_direct(samples) -> None:
         # keep max|lambda| * t <= 1e3, where both forms round to about 1e-13
         stop = float(rng.uniform(0.1, 1.0)) * 1e3 / max(float(np.max(np.abs(dec.eigenvalues))), 1.0)
         for start in (0.0, float(rng.uniform(0.0, stop))):
-            times, series = _uniform_series(dec, u, v, start, stop, samples)
+            times, series = _pair_series(dec, u, v, start, stop, samples)
             assert np.array_equal(times, np.linspace(start, stop, samples))
             direct = amplitude_series(dec, times, u, v)
             assert float(np.max(np.abs(series - direct))) <= 1e-12
+
+
+def test_linspace_rows_equals_numpy() -> None:
+    rng = np.random.default_rng(89)
+    starts = [0.0, -3.5, 1e-300, 0.0, 0.0, *rng.uniform(-1e9, 1e9, 20)]
+    # a step that underflows to zero (numpy's own branch) in rows 3 and 4
+    stops = [1.0, 2.25, 1e-299, 5e-324, 1e-322, *rng.uniform(1e9, 2e9, 20)]
+    for samples in (2, 3, 7, 2000, 10007):
+        rows = _linspace_rows(np.array(starts), np.array(stops), samples)
+        for row, start, stop in zip(rows, starts, stops):
+            assert np.array_equal(row, np.linspace(start, stop, samples))
+            assert np.array_equal(np.signbit(row), np.signbit(np.linspace(start, stop, samples)))
 
 
 def test_uniform_series_within_phase_budget_on_refine_window() -> None:
@@ -273,7 +295,7 @@ def test_uniform_series_within_phase_budget_on_refine_window() -> None:
     dec = _decompose(Generalized(143.0), path_graph(6))
     t_star = two_level_candidate_time(dec, 0, 5)
     lo, hi = 0.5 * t_star, 1.5 * t_star
-    times, series = _uniform_series(dec, 0, 5, lo, hi, 2000)
+    times, series = _pair_series(dec, 0, 5, lo, hi, 2000)
     budget = 4.0 * float(np.max(np.abs(dec.eigenvalues))) * hi * np.finfo(float).eps
     assert float(np.max(np.abs(series - amplitude_series(dec, times, 0, 5)))) <= budget
 
@@ -329,3 +351,105 @@ def test_lockstep_equals_one_search_at_a_time() -> None:
         for (dec, strategy), peak in zip(batch, lockstep):
             assert peak == peak_fidelity(dec, u, v, strategy)
             assert peak.fidelity == abs(evolution_amplitude(dec, peak.t_star, u, v))
+
+
+def _reference_candidate(dec, u, v):
+    # the two-level candidate from per-group np.sum and np.mean
+    runs = [slice(group[0], group[-1] + 1) for group in dec.groups]
+    vectors = dec.eigenvectors
+    masses = np.array([np.sum(vectors[u, run] ** 2) + np.sum(vectors[v, run] ** 2) for run in runs])
+    means = [np.mean(dec.eigenvalues[run]) for run in runs]
+    first, second = np.argsort(-masses, kind="stable")[:2]
+    return math.pi / float(abs(means[first] - means[second]))
+
+
+def _reference_series(dec, u, v, start, stop, samples):
+    # the window scan of one matrix with the 2-D product
+    times = np.linspace(start, stop, samples)
+    width = math.isqrt(samples)
+    step = (stop - start) / (samples - 1)
+    weights = dec.eigenvectors[u] * dec.eigenvectors[v]
+    offsets = weights * np.exp(-1j * np.outer(np.arange(width) * step, dec.eigenvalues))
+    blocks = np.exp(-1j * np.outer(times[::width], dec.eigenvalues))
+    return times, (blocks @ offsets.T).ravel()[:samples]
+
+
+def _reference_window(dec, u, v, start, stop, samples):
+    # best sample of the window scan and its neighbors, the refine bracket
+    times, amplitudes = _reference_series(dec, u, v, start, stop, samples)
+    j = int(np.argmax(np.abs(amplitudes)))
+    return float(times[j]), float(times[max(j - 1, 0)]), float(times[min(j + 1, samples - 1)])
+
+
+def _first_steps(search, count):
+    # the first count times a started search asks for; the values fed back
+    # do not change them
+    times = [next(search.steps)]
+    while len(times) < count:
+        times.append(search.steps.send(1.0))
+    return times
+
+
+def _stack_cases():
+    """(graph, u, v, k values, grid fallback) cases; the grid is taken where a spectrum has one group."""
+    rng = np.random.default_rng(83)
+    cases = []
+    for i in range(12):
+        g = random_graph(rng, n_max=10) if i % 2 else structured_graph(rng, n_max=10)
+        u, v = (int(x) for x in rng.choice(g.n, size=2, replace=False))
+        ks = [float(k) for k in rng.uniform(-3.0, 3.0, 9)]
+        cases.append((g, u, v, ks, GridSearch(20.0, 401)))
+    # an (n-1)-fold eigenvalue: group sums of more than two terms
+    for n in (5, 7):
+        complete = Graph(n=n, edges=frozenset((i, j) for i in range(n) for j in range(i + 1, n)))
+        cases.append((complete, 0, 1, [float(k) for k in rng.uniform(-3.0, 3.0, 9)], GridSearch(20.0, 401)))
+    # the paper regime: readout times near 1e9, phases near 1e11 rad
+    cases.append((path_graph(6), 0, 5, [float(k) for k in np.linspace(140.0, 144.0, 9)], GridSearch(20.0, 401)))
+    # one eigenvalue group at every k: each member takes the grid, 3 scans to a stack
+    cases.append((Graph(n=4), 0, 3, [float(k) for k in np.linspace(-1.0, 1.0, 9)], GridSearch(20.0, 5001)))
+    return cases
+
+
+def test_stacked_stages_equal_single() -> None:
+    for g, u, v, ks, grid in _stack_cases():
+        full = max(1, SWEEP_BLOCK_ENTRIES // max(g.n**2, TwoLevelSearch().refine_samples))
+        for size in (1, 2, 7, full, full + 1):
+            models = [Generalized(k) for k in ks[:size]]
+            stacked = hamiltonian_stack(models, g)
+            decs = eigendecompose_stack(stacked)
+            searches = start_peak_searches(decs, u, v, TwoLevelSearch(), grid)
+            probes = start_peak_searches(decs, u, v, TwoLevelSearch(), grid)
+            peaks = run_peak_searches(searches)
+            for model, h, dec, probe, peak in zip(models, stacked, decs, probes, peaks):
+                alone = hamiltonian_matrix(model, g)
+                assert np.array_equal(h, alone) and np.array_equal(np.signbit(h), np.signbit(alone))
+                single = eigendecompose(alone)
+                for a, b in ((dec.eigenvalues, single.eigenvalues), (dec.eigenvectors, single.eigenvectors)):
+                    assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+                assert dec.groups == single.groups
+                if len(single.groups) > 1:
+                    strategy = TwoLevelSearch()
+                    t_candidate = _reference_candidate(single, u, v)
+                    assert two_level_candidate_time(single, u, v) == t_candidate
+                    window = (t_candidate * 0.5, t_candidate * 1.5, strategy.refine_samples)
+                    asked = _first_steps(probe, 4)
+                    assert asked[0] == t_candidate
+                    asked = asked[1:]
+                else:
+                    strategy = grid
+                    window = (0.0, grid.t_max, grid.samples)
+                    asked = _first_steps(probe, 3)
+                t_sample, lo, hi = _reference_window(single, u, v, *window)
+                # the golden-section refine starts at these two points of the bracket
+                assert asked == [t_sample, hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)]
+                assert peak == peak_fidelity(single, u, v, strategy)
+            # the stacked window scan row by row; widths 44 and 31 columns
+            weights = np.array([dec.eigenvectors[u] * dec.eigenvectors[v] for dec in decs])
+            eigenvalues = np.array([dec.eigenvalues for dec in decs])
+            starts, stops = np.arange(1.0, size + 1.0), np.arange(1.0, size + 1.0) * 7.3
+            for samples in (2000, 1001):
+                times, amplitudes = _uniform_series(eigenvalues, weights, starts, stops, samples)
+                for i, dec in enumerate(decs):
+                    reference = _reference_series(dec, u, v, starts[i], stops[i], samples)
+                    assert np.array_equal(times[i], reference[0])
+                    assert np.array_equal(amplitudes[i], reference[1])

@@ -151,6 +151,15 @@ EXTRA = [
     "fidelity --graph path:6 --model adjacency --u 0 --v 5 --tmax -1e2 --samples 11",
     "peak --graph path:6 --model adjacency --u 0 --v 5 --strategy grid --tmax -1e2 --samples 11",
     "sweep --graph file:empty4.txt --u 0 --v 3 --kmin -1 --kmax 1 --steps 2 --tmax -2.5e1",
+    # sweeps decomposed in blocks of max(1, 2**14 // max(n*n, 2000)) k values:
+    # 5 blocks of 4, blocks of 2, one k per block, and the grid fallback in every block
+    "sweep --graph path:60 --u 3 --v 50 --kmin -1.5 --kmax 1.2 --steps 20",
+    "sweep --graph cycle:90 --u 0 --v 45 --kmin -1 --kmax 1 --steps 7",
+    "sweep --graph path:150 --u 0 --v 149 --kmin -0.9 --kmax 0.9 --steps 3",
+    "sweep --graph file:empty4.txt --u 0 --v 3 --kmin -1 --kmax 1 --steps 40 --tmax 20 --samples 1001",
+    # a horizon whose phases max|lambda| * t_max overflow
+    "fidelity --graph path:6 --model adjacency --u 0 --v 5 --tmax 1e308 --samples 3",
+    "peak --graph path:6 --model adjacency --u 0 --v 5 --strategy grid --tmax 1e308 --samples 3",
 ]
 
 
