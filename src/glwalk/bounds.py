@@ -61,10 +61,13 @@ class ThresholdResult:
 
 
 def readout_time_bound(q: float, max_degree: int, distance: int) -> float:
-    """Upper bound 2*pi*(|q| + m)^(d-1) on the readout time."""
+    """Upper bound 2*pi*(|q| + m)^(d-1) on the readout time; math.inf beyond the float range."""
     if distance < 1:
         raise ValueError("distance must be a positive integer")
-    return 2.0 * math.pi * (abs(q) + max_degree) ** (distance - 1)
+    try:
+        return 2.0 * math.pi * (abs(q) + max_degree) ** (distance - 1)
+    except OverflowError:
+        return math.inf
 
 
 def q_threshold(inp: ThresholdInput) -> ThresholdResult:

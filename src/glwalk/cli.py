@@ -29,16 +29,7 @@ from .cospectral import (
     sign_pattern,
     verify_involution,
 )
-from .dynamics import (
-    SWEEP_BLOCK_ENTRIES,
-    GridSearch,
-    PeakSearch,
-    TwoLevelSearch,
-    fidelity_curve,
-    peak_fidelity,
-    run_peak_searches,
-    start_peak_searches,
-)
+from .dynamics import GridSearch, TwoLevelSearch, fidelity_curve, peak_fidelity, sweep_peaks
 from .errors import (
     ConvergenceError,
     CospectralityMismatchError,
@@ -47,8 +38,8 @@ from .errors import (
     ThresholdHypothesisError,
 )
 from .graphs import Graph, complete_bipartite, cycle_graph, from_edge_list, path_graph
-from .hamiltonians import Generalized, Model, hamiltonian_matrix, hamiltonian_stack, parse_model
-from .spectral import eigendecompose, eigendecompose_stack, localization_mass
+from .hamiltonians import Model, hamiltonian_matrix, parse_model
+from .spectral import eigendecompose, localization_mass
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -94,8 +85,9 @@ def parse_graph(text: str) -> Graph:
     raise UsageError(f"unknown graph kind {kind!r}")
 
 
-def _order_json(order: int | float):
-    return "infinite" if math.isinf(order) else int(order)
+def _json_number(value: int | float):
+    # JSON has no infinity; an infinite order or bound prints as "infinite"
+    return "infinite" if math.isinf(value) else value
 
 
 #: rows formatted by one % call; one call over a whole 20000-row curve is slower
@@ -149,7 +141,8 @@ def _cmd_peak(args, graph: Graph) -> dict:
     except ValueError:  # raised before any walk was counted
         threshold, order = None, cospectrality(graph, args.u, args.v).order
     else:
-        threshold = {"epsilon": args.epsilon, "q_min": res.q_min, "k_min": res.k_min, "t_bound": res.t_bound}
+        t_bound = _json_number(res.t_bound)
+        threshold = {"epsilon": args.epsilon, "q_min": res.q_min, "k_min": res.k_min, "t_bound": t_bound}
         order = res.cospectrality_order
     signs = sign_pattern(dec, args.u, args.v)
     masses = localization_mass(dec, args.u, args.v)
@@ -160,21 +153,10 @@ def _cmd_peak(args, graph: Graph) -> dict:
         "t_star": peak.t_star,
         "method": peak.method,
         "threshold": threshold,
-        "cospectrality_order": _order_json(order),
+        "cospectrality_order": _json_number(order),
         "sign_pattern": [s.value for s in signs.signs],
         "localization_mass_top_groups": top_masses,
     }
-
-
-def _sweep_block(args, graph: Graph, ks: list[float]) -> list[PeakSearch]:
-    """The started peak searches of one block of k values; grid fallback on a degenerate gap.
-
-    The block's Hamiltonians, decompositions and window arrays are dropped
-    on return, and a started search keeps O(n) of them.
-    """
-    decs = eigendecompose_stack(hamiltonian_stack([Generalized(k) for k in ks], graph))
-    fallback = GridSearch(t_max=args.tmax, samples=args.samples)
-    return start_peak_searches(decs, args.u, args.v, TwoLevelSearch(), fallback)
 
 
 def _cmd_sweep(args, graph: Graph) -> dict | str:
@@ -187,11 +169,7 @@ def _cmd_sweep(args, graph: Graph) -> dict | str:
         epsilon = args.epsilon if args.epsilon is not None else 0.1
         k_min_threshold = k_threshold_two_class(graph, args.u, args.v, epsilon).k_min
     ks = np.linspace(args.kmin, args.kmax, args.steps).tolist()
-    # a block holds at most SWEEP_BLOCK_ENTRIES matrix entries or window samples
-    block = max(1, SWEEP_BLOCK_ENTRIES // max(graph.n**2, TwoLevelSearch().refine_samples))
-    peaks = run_peak_searches(
-        [search for i in range(0, len(ks), block) for search in _sweep_block(args, graph, ks[i : i + block])]
-    )
+    peaks = sweep_peaks(graph, args.u, args.v, ks, GridSearch(t_max=args.tmax, samples=args.samples))
     rows = []
     crossed = False
     for k, peak in zip(ks, peaks):
@@ -212,12 +190,12 @@ def _cmd_bound(args, graph: Graph) -> dict:
         "epsilon": args.epsilon,
         "q_min": res.q_min,
         "k_min": res.k_min,
-        "t_bound": res.t_bound,
+        "t_bound": _json_number(res.t_bound),
         "eps_exponent": res.eps_exponent,
         "degree_exponent": res.degree_exponent,
         "max_degree": graph.max_degree(),
         "distance": int(graph.distance(args.u, args.v)),
-        "cospectrality_order": _order_json(res.cospectrality_order),
+        "cospectrality_order": _json_number(res.cospectrality_order),
     }
 
 
@@ -240,7 +218,7 @@ def _cmd_analyze(args, graph: Graph) -> dict:
             pass
     divergence = None if cos.first_divergence is None else dataclasses.asdict(cos.first_divergence)
     return {
-        "cospectrality_order": _order_json(cos.order),
+        "cospectrality_order": _json_number(cos.order),
         "first_divergence": divergence,
         "projector_cospectral": cos.infinite,
         "involution_searched": searched,

@@ -8,25 +8,23 @@ Uniform grids (fidelity curves, grid scans and the two-level refine window)
 factor each phase as a block start times an offset within the block, so S
 samples cost about 2*sqrt(S)*n complex exponentials and one
 sqrt(S) x n x sqrt(S) complex matrix product, with O(sqrt(S)*n + S) memory,
-in place of S*n exponentials held at once. amplitude_series keeps the direct
-S*n evaluation for arbitrary times.
+in place of S*n exponentials held at once.
 
-Peak searches are step-wise. start_peak_searches validates the strategy,
-seeds the searches and scans their sample windows on stacked arrays: one
-group_sums over all the spectra for the two-level candidates and one
-batched window product per stack of scans. It then keeps only each search's
-phases -i*lambda and weights V[u]*V[v]; a search's steps yield each time
-the golden-section refine needs and receive |U(t)_{u,v}| there.
-run_peak_searches drives any number of started searches in lockstep: each
-round evaluates every pending time with one np.exp over the stacked phases
-and one (K,1,n) @ (K,n,1) np.matmul. start_peak_search and peak_fidelity
-are the one-search cases, and a k sweep starts its searches a block of k
-values at a time. The stacked forms keep every result bit-identical to the
-search run alone: matmul takes each slice's product with the same dot as
-the 2-D product (a (K,n) row-wise product or a sum rounds differently),
-every other stacked operation is elementwise or per row, and reported
-magnitudes go through Python abs, which np.abs on a complex array does not
-always match.
+Peak searches are step-wise. Starting a search validates the strategy,
+seeds it and scans its sample window, on stacked arrays for any number of
+spectra: one group_sums over all of them for the two-level candidates and
+one batched window product per stack of scans. A started search keeps only
+its phases -i*lambda and weights V[u]*V[v]; its steps yield each time the
+golden-section refine needs and receive |U(t)_{u,v}| there. Started
+searches run in lockstep: each round evaluates every pending time with one
+np.exp over the stacked phases and one (K,1,n) @ (K,n,1) np.matmul.
+peak_fidelity is the one-search case; sweep_peaks starts its searches a
+block of k values at a time and runs all of them in one lockstep. The
+stacked forms keep every result bit-identical to the search run alone:
+matmul takes each slice's product with the same dot as the 2-D product (a
+(K,n) row-wise product or a sum rounds differently), every other stacked
+operation is elementwise or per row, and reported magnitudes go through
+Python abs, which np.abs on a complex array does not always match.
 """
 
 from __future__ import annotations
@@ -38,7 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGapError
-from .spectral import EigenDecomposition, group_sums
+from .graphs import Graph
+from .hamiltonians import Generalized, hamiltonian_stack
+from .spectral import EigenDecomposition, eigendecompose_stack, group_sums
 
 # gap below this fraction of the spectral range counts as degenerate
 DEGENERATE_GAP_SCALE = 1e-13
@@ -91,12 +91,6 @@ def evolution_amplitude(dec: EigenDecomposition, t: float, u: int, v: int) -> co
     return complex(np.exp(-1j * dec.eigenvalues * t) @ weights)
 
 
-def amplitude_series(dec: EigenDecomposition, times: np.ndarray, u: int, v: int) -> np.ndarray:
-    """Vectorized evolution_amplitude over an array of times."""
-    weights = dec.eigenvectors[u] * dec.eigenvectors[v]
-    return np.exp(-1j * np.outer(np.asarray(times, dtype=float), dec.eigenvalues)) @ weights
-
-
 def _linspace_rows(start: np.ndarray, stop: np.ndarray, samples: int) -> np.ndarray:
     """Row i is np.linspace(start[i], stop[i], samples), bit for bit.
 
@@ -141,16 +135,6 @@ def _check_phases(t_max: float, eigenvalues: np.ndarray) -> None:
     # in Python floats: the numpy product would warn as it overflows
     if not math.isfinite(float(np.abs(eigenvalues).max()) * t_max):
         raise ValueError(f"t_max {t_max!r} overflows the phases: max|eigenvalue| * t_max is not finite")
-
-
-def evolution_operator(dec: EigenDecomposition, t: float) -> np.ndarray:
-    """Full unitary exp(-iHt)."""
-    vectors = dec.eigenvectors
-    return (vectors * np.exp(-1j * dec.eigenvalues * t)) @ vectors.T
-
-
-def transfer_probability(dec: EigenDecomposition, t: float, u: int, v: int) -> float:
-    return abs(evolution_amplitude(dec, t, u, v)) ** 2
 
 
 def fidelity_curve(dec: EigenDecomposition, u: int, v: int, t_max: float, samples: int) -> FidelityCurve:
@@ -259,18 +243,10 @@ def _search_steps(t_candidate: float | None, t_sample: float, bracket_lo: float,
     return PeakResult(t_star=best_t, fidelity=best_f, method=method)
 
 
-@dataclass(frozen=True)
-class PeakSearch:
-    """A started peak search: what it reads of the pair and its pending steps.
-
-    phases holds -1j * eigenvalues and weights V[u] * V[v], so |U(t)_{u,v}|
-    is abs(exp(phases * t) @ weights); steps is the generator that yields
-    the times to evaluate.
-    """
-
-    phases: np.ndarray
-    weights: np.ndarray
-    steps: Generator
+#: a started search: phases -1j * eigenvalues and weights V[u] * V[v], so that
+#: |U(t)_{u,v}| is abs(exp(phases * t) @ weights), and the steps generator that
+#: yields the times to evaluate
+_Search = tuple[np.ndarray, np.ndarray, Generator]
 
 
 def _check_strategy(strategy: GridSearch | TwoLevelSearch) -> None:
@@ -307,20 +283,21 @@ def _scan(
     return steps
 
 
-def start_peak_searches(
+def _start_searches(
     decs: Sequence[EigenDecomposition],
     u: int,
     v: int,
     strategy: GridSearch | TwoLevelSearch,
     fallback: GridSearch | None = None,
-) -> list[PeakSearch]:
-    """start_peak_search of each decomposition (all of one size), stage by stage on stacked arrays.
+) -> list[_Search]:
+    """The started search of each decomposition (all of one size), stage by stage on stacked arrays.
 
-    A decomposition whose two-level candidate raises DegenerateGapError is
+    Validates the strategy, seeds each search and scans its sample window,
+    so it raises what peak_fidelity raises before any time is evaluated. A
+    decomposition whose two-level candidate raises DegenerateGapError is
     searched with fallback instead; without a fallback the error propagates.
     Scans of S samples run max(1, SWEEP_BLOCK_ENTRIES // S) decompositions
-    at a time. Each search equals start_peak_search of its decomposition
-    alone and, like it, holds O(n) data and no reference to the
+    at a time. A started search holds O(n) data and no reference to its
     decomposition.
     """
     _check_strategy(strategy)
@@ -341,7 +318,7 @@ def start_peak_searches(
         members.setdefault(chosen, []).append(i)
     weights = pairs[:, 0] * pairs[:, 1]
     phases = -1j * eigenvalues
-    searches: list[PeakSearch] = [None] * len(decs)
+    searches = [None] * len(decs)
     for chosen, indices in members.items():
         samples = chosen.refine_samples if isinstance(chosen, TwoLevelSearch) else chosen.samples
         chunk = max(1, SWEEP_BLOCK_ENTRIES // samples)
@@ -351,23 +328,11 @@ def start_peak_searches(
             rows = stack if len(stack) < len(decs) else slice(None)
             steps = _scan(chosen, eigenvalues[rows], weights[rows], [candidates[i] for i in stack])
             for i, search_steps in zip(stack, steps):
-                searches[i] = PeakSearch(phases=phases[i], weights=weights[i], steps=search_steps)
+                searches[i] = (phases[i], weights[i], search_steps)
     return searches
 
 
-def start_peak_search(
-    dec: EigenDecomposition, u: int, v: int, strategy: GridSearch | TwoLevelSearch
-) -> PeakSearch:
-    """Validate the strategy, seed the search and scan its sample window.
-
-    Raises what peak_fidelity raises (ValueError, DegenerateGapError) before
-    any time is evaluated. The window's arrays are dropped here, so a
-    started search holds O(n) data and no reference to dec.
-    """
-    return start_peak_searches([dec], u, v, strategy)[0]
-
-
-def run_peak_searches(searches: list[PeakSearch]) -> list[PeakResult]:
+def _run_searches(searches: list[_Search]) -> list[PeakResult]:
     """Run started searches over spectra of one size in lockstep; results in input order.
 
     Each round evaluates every pending time at once (see the module
@@ -376,22 +341,22 @@ def run_peak_searches(searches: list[PeakSearch]) -> list[PeakResult]:
     """
     results: list[PeakResult | None] = [None] * len(searches)
     active = list(range(len(searches)))
-    times = [next(search.steps) for search in searches]
+    times = [next(steps) for _, _, steps in searches]
     phases = weights = None
     while active:
         if len(active) == 1:
-            search = searches[active[0]]
-            values = [np.exp(search.phases * times[0]) @ search.weights]
+            search_phases, search_weights, _ = searches[active[0]]
+            values = [np.exp(search_phases * times[0]) @ search_weights]
         else:
             if phases is None or len(phases) != len(active):
-                phases = np.stack([searches[i].phases for i in active])
-                weights = np.stack([searches[i].weights for i in active]).astype(complex)[:, :, None]
+                phases = np.stack([searches[i][0] for i in active])
+                weights = np.stack([searches[i][1] for i in active]).astype(complex)[:, :, None]
             block = np.exp(phases * np.array(times)[:, None])
             values = np.matmul(block[:, None, :], weights).ravel().tolist()
         still, times = [], []
         for i, value in zip(active, values):
             try:
-                times.append(searches[i].steps.send(abs(complex(value))))
+                times.append(searches[i][2].send(abs(complex(value))))
                 still.append(i)
             except StopIteration as done:
                 results[i] = done.value
@@ -408,4 +373,24 @@ def peak_fidelity(
     t* * (1 +- refine_window_fraction); GridSearch takes the best of a uniform
     scan of [0, t_max] and refines between the neighbors of the best sample.
     """
-    return run_peak_searches(start_peak_searches([dec], u, v, strategy))[0]
+    return _run_searches(_start_searches([dec], u, v, strategy))[0]
+
+
+def _sweep_block(graph: Graph, u: int, v: int, ks: Sequence[float], fallback: GridSearch) -> list[_Search]:
+    # the started searches of one block of k values; the block's Hamiltonians,
+    # decompositions and window arrays are dropped on return
+    decs = eigendecompose_stack(hamiltonian_stack([Generalized(k) for k in ks], graph))
+    return _start_searches(decs, u, v, TwoLevelSearch(), fallback)
+
+
+def sweep_peaks(graph: Graph, u: int, v: int, ks: Sequence[float], fallback: GridSearch) -> list[PeakResult]:
+    """peak_fidelity under Generalized(k) for each k, with TwoLevelSearch; fallback on a degenerate gap.
+
+    The k values are decomposed and seeded a block at a time, and every k's
+    refine then runs in one lockstep. Each result equals peak_fidelity of
+    its k alone.
+    """
+    # a block holds at most SWEEP_BLOCK_ENTRIES matrix entries or window samples
+    block = max(1, SWEEP_BLOCK_ENTRIES // max(graph.n**2, TwoLevelSearch().refine_samples))
+    blocks = (_sweep_block(graph, u, v, ks[i : i + block], fallback) for i in range(0, len(ks), block))
+    return _run_searches([search for searches in blocks for search in searches])

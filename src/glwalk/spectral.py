@@ -8,7 +8,6 @@ RESIDUAL_SCALE * max(1, inf-norm).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -59,36 +58,6 @@ class EigenDecomposition:
     @property
     def group_sizes(self) -> list[int]:
         return [len(group) for group in self.groups]
-
-
-@dataclass(frozen=True)
-class SpectralProjector:
-    """Orthogonal projector onto one degeneracy group's eigenspace.
-
-    Stored as the group's n x rank eigenvector columns."""
-
-    eigenvalue: float
-    indices: tuple[int, ...]
-    vectors: np.ndarray
-
-    @property
-    def rank(self) -> int:
-        return len(self.indices)
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """Dense n x n matrix, formed on first read."""
-        matrix = self.vectors @ self.vectors.T
-        matrix.setflags(write=False)
-        return matrix
-
-    def column(self, x: int) -> np.ndarray:
-        """P e_x."""
-        return self.vectors @ self.vectors[x]
-
-    def diagonal(self, x: int) -> float:
-        """(P)_{xx}, the squared norm of row x of the eigenvector columns."""
-        return float(np.sum(self.vectors[x] ** 2))
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -174,21 +143,8 @@ def group_eigenvalues(decomposition: EigenDecomposition) -> np.ndarray:
     return group_sums(decomposition.eigenvalues, sizes) / sizes
 
 
-def spectral_projectors(decomposition: EigenDecomposition) -> list[SpectralProjector]:
-    """One projector per degeneracy group, ordered by eigenvalue."""
-    # groups are runs of consecutive indices, so the columns are a view
-    return [
-        SpectralProjector(
-            eigenvalue=mean,
-            indices=group,
-            vectors=decomposition.eigenvectors[:, group[0] : group[-1] + 1],
-        )
-        for group, mean in zip(decomposition.groups, group_eigenvalues(decomposition).tolist())
-    ]
-
-
 def pair_diagonals(decomposition: EigenDecomposition, u: int, v: int) -> np.ndarray:
-    """2 x groups array of (P_r)_{uu} and (P_r)_{vv}, equal to each projector's diagonal()."""
+    """2 x groups array of (P_r)_{uu} and (P_r)_{vv}, P_r the projector onto group r's eigenspace."""
     return group_sums(decomposition.eigenvectors[[u, v]] ** 2, decomposition.group_sizes)
 
 

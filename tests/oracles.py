@@ -62,9 +62,24 @@ def walk_count_oracle(g: Graph, x: int, k_max: int) -> list[int]:
     return counts
 
 
+def amplitude_oracle(dec: EigenDecomposition, times: np.ndarray, u: int, v: int) -> np.ndarray:
+    """U(t)_{u,v} at each time, with every phase exp(-i*lambda*t) formed directly."""
+    weights = dec.eigenvectors[u] * dec.eigenvectors[v]
+    return np.exp(-1j * np.outer(np.asarray(times, dtype=float), dec.eigenvalues)) @ weights
+
+
 def dense_peak(dec: EigenDecomposition, u: int, v: int, times: np.ndarray) -> tuple[float, float]:
     """Best sampled |U(t)_{u,v}| and its time over an explicit grid."""
-    weights = dec.eigenvectors[u] * dec.eigenvectors[v]
-    values = np.abs(np.exp(-1j * np.outer(times, dec.eigenvalues)) @ weights)
+    values = np.abs(amplitude_oracle(dec, times, u, v))
     i = int(np.argmax(values))
     return float(times[i]), float(values[i])
+
+
+def group_columns(dec: EigenDecomposition) -> list[np.ndarray]:
+    """Each degeneracy group's eigenvector columns V_r (groups are runs of consecutive columns)."""
+    return [dec.eigenvectors[:, group[0] : group[-1] + 1] for group in dec.groups]
+
+
+def projector_matrices(dec: EigenDecomposition) -> list[np.ndarray]:
+    """Dense projector V_r V_r^T onto each degeneracy group's eigenspace, ordered by eigenvalue."""
+    return [vectors @ vectors.T for vectors in group_columns(dec)]

@@ -115,6 +115,9 @@ def test_readout_time_bound() -> None:
     assert readout_time_bound(143.0, 2, 5) == pytest.approx(2.777e9, rel=1e-3)
     assert readout_time_bound(7.0, 3, 1) == pytest.approx(2.0 * math.pi, rel=1e-12)
     assert readout_time_bound(-143.0, 2, 5) == readout_time_bound(143.0, 2, 5)
+    # beyond the float range, in the power or in the factor 2*pi
+    assert readout_time_bound(1.0, 2, 1000) == math.inf
+    assert readout_time_bound(1.7e308, 2, 2) == math.inf
     with pytest.raises(ValueError):
         readout_time_bound(1.0, 2, 0)
 

@@ -19,7 +19,6 @@ from glwalk import (
 import glwalk.bounds
 import glwalk.cli
 import glwalk.cospectral
-import glwalk.dynamics
 import glwalk.spectral
 from glwalk.cli import main
 
@@ -208,6 +207,39 @@ def test_bound_bipartite(capsys) -> None:
     )
     assert code == 0
     assert json.loads(out)["k_min"] == pytest.approx(202.39, abs=1e-2)
+
+
+def test_bound_infinite_readout_time(capsys) -> None:
+    code, out, _ = run_cli(
+        capsys, "bound", "--graph", "path:40", "--u", "0", "--v", "39", "--epsilon", "1e-30"
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["t_bound"] == "infinite"
+    assert report["k_min"] == pytest.approx(16.0 * 2.0**1.5 * 1e15, rel=1e-12)
+
+
+def test_peak_infinite_readout_time(capsys) -> None:
+    code, out, _ = run_cli(
+        capsys, "peak", "--graph", "path:6", "--model", "adjacency", "--u", "0", "--v", "5",
+        "--epsilon", "1e-300",
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["threshold"]["t_bound"] == "infinite"
+    assert report["threshold"]["k_min"] == pytest.approx(16.0 * 2.0**1.5 * 1e150, rel=1e-12)
+    assert report["fidelity"] == pytest.approx(0.95477, abs=1e-5)
+
+
+def test_sweep_infinite_readout_time(capsys) -> None:
+    code, out, _ = run_cli(
+        capsys, "sweep", "--graph", "path:40", "--u", "0", "--v", "39",
+        "--kmin", "1", "--kmax", "2", "--steps", "2", "--epsilon", "1e-30", "--json",
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["k_min_threshold"] == pytest.approx(16.0 * 2.0**1.5 * 1e15, rel=1e-12)
+    assert [row["crosses_threshold"] for row in report["rows"]] == [0, 0]
 
 
 def test_bound_epsilon_domain_error(capsys) -> None:
@@ -466,20 +498,18 @@ def test_projector_cross_check_mismatch_is_numeric_error(capsys, monkeypatch, ar
     ],
     ids=["peak", "analyze", "bound", "sweep"],
 )
-def test_no_command_builds_projectors(capsys, monkeypatch, argv) -> None:
-    # per-group data comes from the decomposition; projectors are the matrix view
-    calls = []
-    real = glwalk.spectral.spectral_projectors
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    for module in (glwalk.spectral, glwalk.cli, glwalk.dynamics, glwalk.cospectral, glwalk.bounds):
-        monkeypatch.setattr(module, "spectral_projectors", counted, raising=False)
-    code, _, _ = run_cli(capsys, *argv, "--graph", "path:6", "--u", "0", "--v", "5")
+def test_no_command_builds_projectors(capsys, argv) -> None:
+    # per-group data comes from reductions over the eigenvector matrix: on path:100 every
+    # group's n x n projector V_r V_r^T together takes about 7.6 MiB, each command under 1.5 MiB
+    tracemalloc.start()
+    try:
+        code = main([*argv, "--graph", "path:100", "--u", "0", "--v", "99"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        capsys.readouterr()
     assert code == 0
-    assert len(calls) == 0
+    assert peak < 4 * 2**20
 
 
 def test_commands_in_one_process_are_independent(capsys) -> None:
@@ -614,6 +644,8 @@ def test_negative_numbers_in_scientific_notation(capsys, monkeypatch, tmp_path, 
         ("path:6", "0", "5", "100", "190", "8"),
         ("bipartite:2,5", "0", "1", "-260", "-120", "6"),
         ("path:20", "3", "16", "-1.5", "1.5", "5"),
+        # blocks of 4, 4 and 1 k values
+        ("path:60", "3", "50", "-1.5", "1.2", "9"),
     ],
 )
 def test_sweep_rows_equal_per_k_peak(capsys, graph, u, v, kmin, kmax, steps) -> None:
@@ -630,9 +662,9 @@ def test_sweep_rows_equal_per_k_peak(capsys, graph, u, v, kmin, kmax, steps) -> 
 
 
 def test_sweep_memory_does_not_grow_with_steps(capsys) -> None:
-    # a sweep decomposes max(1, SWEEP_BLOCK_ENTRIES // max(n*n, 2000)) k values at a time, one
-    # at a time from n = 128 on, and a started search keeps O(n) data, so at n = 400 a sweep
-    # holds one n x n decomposition at a time
+    # sweep_peaks decomposes max(1, SWEEP_BLOCK_ENTRIES // max(n*n, 2000)) k values at a time,
+    # one at a time from n = 128 on, and a started search keeps O(n) data, so at n = 400 a
+    # sweep holds one n x n decomposition at a time
     def traced_peak(steps: str) -> int:
         argv = [
             "sweep", "--graph", "path:400", "--u", "0", "--v", "399", "--kmin", "-1.3", "--kmax", "1.1",

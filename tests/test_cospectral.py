@@ -23,11 +23,11 @@ from glwalk import (
     localization_mass,
     path_graph,
     sign_pattern,
-    spectral_projectors,
     verify_involution,
 )
 from glwalk.cospectral import INT64_MAX, PROJECTOR_DIAG_TOL, WALK_COUNT_MAX, parse_permutation
-from oracles import integer_adjacency, walk_count_oracle
+from glwalk.spectral import group_eigenvalues
+from oracles import integer_adjacency, projector_matrices, walk_count_oracle
 
 
 def _adjacency_dec(g: Graph):
@@ -35,7 +35,7 @@ def _adjacency_dec(g: Graph):
 
 
 def _adjacency_projectors(g: Graph):
-    return spectral_projectors(_adjacency_dec(g))
+    return projector_matrices(_adjacency_dec(g))
 
 
 def test_walk_counts_p3_endpoint() -> None:
@@ -208,9 +208,8 @@ def test_localization_mass_p2() -> None:
 
 def test_localization_mass_concentrates_under_large_loops() -> None:
     dec = eigendecompose(hamiltonian_matrix(LoopPerturbed(0, 5, -143.0), path_graph(6)))
-    projectors = spectral_projectors(dec)
     masses = localization_mass(dec, 0, 5)
-    eigenvalues = np.array([p.eigenvalue for p in projectors])
+    eigenvalues = group_eigenvalues(dec)
     top_two = np.argsort(-np.abs(eigenvalues))[:2]
     assert masses[top_two].sum() >= 2.0 - 0.05
 
@@ -264,7 +263,7 @@ def test_parse_permutation() -> None:
 
 def _projector_diagonals_agree(g: Graph, u: int, v: int) -> bool:
     return all(
-        abs(p.matrix[u, u] - p.matrix[v, v]) <= PROJECTOR_DIAG_TOL
+        abs(p[u, u] - p[v, v]) <= PROJECTOR_DIAG_TOL
         for p in _adjacency_projectors(g)
     )
 
@@ -292,12 +291,11 @@ def _per_eigenvector_signs_hold(g: Graph, u: int, v: int) -> bool:
     eigenbasis still exists.
     """
     dec = _adjacency_dec(g)
-    projectors = spectral_projectors(dec)
     pattern = sign_pattern(dec, u, v)
-    for p, sign in zip(projectors, pattern.signs):
-        if abs(p.matrix[u, u] - p.matrix[v, v]) > PROJECTOR_DIAG_TOL:
+    for p, rank, sign in zip(projector_matrices(dec), dec.group_sizes, pattern.signs):
+        if abs(p[u, u] - p[v, v]) > PROJECTOR_DIAG_TOL:
             return False
-        if p.rank == 1 and sign is GroupSign.MIXED:
+        if rank == 1 and sign is GroupSign.MIXED:
             return False
     return True
 
@@ -321,7 +319,7 @@ def test_involution_implies_infinite_implies_sign_property() -> None:
         if result.infinite:
             assert _per_eigenvector_signs_hold(g, u, v)
             # with a simple relevant spectrum the group-level pattern is clean too
-            if all(p.rank == 1 for p in _adjacency_projectors(g)):
+            if all(rank == 1 for rank in _adjacency_dec(g).group_sizes):
                 assert sign_pattern(_adjacency_dec(g), u, v).consistent
     assert found >= 10  # the implication chain must not be vacuous
 

@@ -17,29 +17,36 @@ from glwalk import (
     Laplacian,
     LoopPerturbed,
     TwoLevelSearch,
-    amplitude_series,
     complete_bipartite,
     eigendecompose,
     eigendecompose_stack,
     evolution_amplitude,
-    evolution_operator,
     fidelity_curve,
     hamiltonian_matrix,
     hamiltonian_stack,
     path_graph,
     peak_fidelity,
-    run_peak_searches,
-    start_peak_search,
-    start_peak_searches,
-    transfer_probability,
+    sweep_peaks,
     two_level_candidate_time,
 )
-from glwalk.dynamics import _INVPHI, SWEEP_BLOCK_ENTRIES, _linspace_rows, _uniform_series
-from oracles import dense_peak, unitary_oracle
+from glwalk.dynamics import (
+    _INVPHI,
+    SWEEP_BLOCK_ENTRIES,
+    _linspace_rows,
+    _run_searches,
+    _start_searches,
+    _uniform_series,
+)
+from oracles import amplitude_oracle, dense_peak, unitary_oracle
 
 
 def _decompose(model, graph):
     return eigendecompose(hamiltonian_matrix(model, graph))
+
+
+def _operator(dec, t):
+    # exp(-iHt) entry by entry from evolution_amplitude
+    return np.array([[evolution_amplitude(dec, t, a, b) for b in range(dec.n)] for a in range(dec.n)])
 
 
 def test_p2_amplitude_is_i_sin_t() -> None:
@@ -71,8 +78,8 @@ def test_p3_laplacian_matches_exponential_oracle() -> None:
 
 def test_transfer_probability_p2() -> None:
     dec = _decompose(Adjacency(), path_graph(2))
-    assert transfer_probability(dec, math.pi / 2, 0, 1) == pytest.approx(1.0, abs=1e-12)
-    assert transfer_probability(dec, math.pi, 0, 1) <= 1e-12
+    assert abs(evolution_amplitude(dec, math.pi / 2, 0, 1)) ** 2 == pytest.approx(1.0, abs=1e-12)
+    assert abs(evolution_amplitude(dec, math.pi, 0, 1)) ** 2 <= 1e-12
 
 
 def test_p6_time_sweep_matches_oracle() -> None:
@@ -81,7 +88,7 @@ def test_p6_time_sweep_matches_oracle() -> None:
     dec = eigendecompose(h)
     for t in np.linspace(0.5, 30.0, 12):
         expected = abs(unitary_oracle(h, float(t))[0, 5]) ** 2
-        assert transfer_probability(dec, float(t), 0, 5) == pytest.approx(expected, abs=1e-9)
+        assert abs(evolution_amplitude(dec, float(t), 0, 5)) ** 2 == pytest.approx(expected, abs=1e-9)
 
 
 def test_fidelity_curve_p2() -> None:
@@ -195,7 +202,7 @@ def test_unitarity_rows() -> None:
         dec = _decompose(random_model(rng, g), g)
         t = float(rng.uniform(0.1, 20.0))
         u = int(rng.integers(0, g.n))
-        operator = evolution_operator(dec, t)
+        operator = _operator(dec, t)
         assert float(np.sum(np.abs(operator[u]) ** 2)) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -232,8 +239,8 @@ def test_group_property() -> None:
         g = random_graph(rng, n_max=8)
         dec = _decompose(random_model(rng, g), g)
         t1, t2 = (float(x) for x in rng.uniform(0.1, 10.0, size=2))
-        composed = evolution_operator(dec, t1) @ evolution_operator(dec, t2)
-        direct = evolution_operator(dec, t1 + t2)
+        composed = _operator(dec, t1) @ _operator(dec, t2)
+        direct = _operator(dec, t1 + t2)
         assert float(np.max(np.abs(composed - direct))) <= 1e-8
 
 
@@ -243,14 +250,14 @@ def test_spectral_evolution_matches_taylor_oracle() -> None:
         g = random_graph(rng, n_max=10)
         h = hamiltonian_matrix(random_model(rng, g), g)
         t = float(rng.uniform(0.1, 20.0))
-        diff = evolution_operator(eigendecompose(h), t) - unitary_oracle(h, t)
+        diff = _operator(eigendecompose(h), t) - unitary_oracle(h, t)
         assert float(np.max(np.abs(diff))) <= 1e-8
 
 
 def test_amplitude_series_matches_pointwise() -> None:
     dec = _decompose(Adjacency(), path_graph(5))
     times = np.linspace(0.0, 12.0, 7)
-    series = amplitude_series(dec, times, 0, 4)
+    series = amplitude_oracle(dec, times, 0, 4)
     for t, amp in zip(times, series):
         assert cmath.isclose(amp, evolution_amplitude(dec, float(t), 0, 4), abs_tol=1e-13)
 
@@ -274,7 +281,7 @@ def test_uniform_series_matches_direct(samples) -> None:
         for start in (0.0, float(rng.uniform(0.0, stop))):
             times, series = _pair_series(dec, u, v, start, stop, samples)
             assert np.array_equal(times, np.linspace(start, stop, samples))
-            direct = amplitude_series(dec, times, u, v)
+            direct = amplitude_oracle(dec, times, u, v)
             assert float(np.max(np.abs(series - direct))) <= 1e-12
 
 
@@ -297,7 +304,7 @@ def test_uniform_series_within_phase_budget_on_refine_window() -> None:
     lo, hi = 0.5 * t_star, 1.5 * t_star
     times, series = _pair_series(dec, 0, 5, lo, hi, 2000)
     budget = 4.0 * float(np.max(np.abs(dec.eigenvalues))) * hi * np.finfo(float).eps
-    assert float(np.max(np.abs(series - amplitude_series(dec, times, 0, 5)))) <= budget
+    assert float(np.max(np.abs(series - amplitude_oracle(dec, times, 0, 5)))) <= budget
 
 
 @pytest.mark.parametrize(
@@ -346,7 +353,7 @@ def test_lockstep_equals_one_search_at_a_time() -> None:
     p6_models = [Generalized(k) for k in (140.0, 142.5, 143.0, 143.2, 144.0)]
     cases.append((_lockstep_batch(path_graph(6), p6_models, 0, 5), 0, 5))
     for batch, u, v in cases:
-        lockstep = run_peak_searches([start_peak_search(dec, u, v, s) for dec, s in batch])
+        lockstep = _run_searches([_start_searches([dec], u, v, s)[0] for dec, s in batch])
         assert len(lockstep) == len(batch)
         for (dec, strategy), peak in zip(batch, lockstep):
             assert peak == peak_fidelity(dec, u, v, strategy)
@@ -384,9 +391,10 @@ def _reference_window(dec, u, v, start, stop, samples):
 def _first_steps(search, count):
     # the first count times a started search asks for; the values fed back
     # do not change them
-    times = [next(search.steps)]
+    _, _, steps = search
+    times = [next(steps)]
     while len(times) < count:
-        times.append(search.steps.send(1.0))
+        times.append(steps.send(1.0))
     return times
 
 
@@ -417,9 +425,9 @@ def test_stacked_stages_equal_single() -> None:
             models = [Generalized(k) for k in ks[:size]]
             stacked = hamiltonian_stack(models, g)
             decs = eigendecompose_stack(stacked)
-            searches = start_peak_searches(decs, u, v, TwoLevelSearch(), grid)
-            probes = start_peak_searches(decs, u, v, TwoLevelSearch(), grid)
-            peaks = run_peak_searches(searches)
+            searches = _start_searches(decs, u, v, TwoLevelSearch(), grid)
+            probes = _start_searches(decs, u, v, TwoLevelSearch(), grid)
+            peaks = _run_searches(searches)
             for model, h, dec, probe, peak in zip(models, stacked, decs, probes, peaks):
                 alone = hamiltonian_matrix(model, g)
                 assert np.array_equal(h, alone) and np.array_equal(np.signbit(h), np.signbit(alone))
@@ -453,3 +461,12 @@ def test_stacked_stages_equal_single() -> None:
                     reference = _reference_series(dec, u, v, starts[i], stops[i], samples)
                     assert np.array_equal(times[i], reference[0])
                     assert np.array_equal(amplitudes[i], reference[1])
+
+
+def test_sweep_peaks_equal_peak_fidelity_per_k() -> None:
+    # 9 k values over n <= 10 make a block of 8 and a block of 1
+    for g, u, v, ks, grid in _stack_cases():
+        for k, peak in zip(ks, sweep_peaks(g, u, v, ks, grid), strict=True):
+            dec = _decompose(Generalized(k), g)
+            strategy = TwoLevelSearch() if len(dec.groups) > 1 else grid
+            assert peak == peak_fidelity(dec, u, v, strategy)

@@ -17,16 +17,18 @@ from glwalk import (
     localization_mass,
     path_graph,
     sign_pattern,
-    spectral_projectors,
 )
 from glwalk.cospectral import SIGN_TOL
 from glwalk.spectral import (
     ORTHONORMALITY_TOL,
     SIGN_REFERENCE_TOL,
     _fix_signs,
+    group_eigenvalues,
+    group_sums,
     grouping_tolerance,
     residual_tolerance,
 )
+from oracles import group_columns, projector_matrices
 
 
 def _adjacency(g):
@@ -50,25 +52,24 @@ def test_k24_adjacency_spectrum_and_groups() -> None:
     dec = eigendecompose(a)
     root8 = math.sqrt(8.0)
     assert np.allclose(dec.eigenvalues, [-root8, 0, 0, 0, 0, root8], atol=1e-10)
-    projectors = spectral_projectors(dec)
-    assert [p.rank for p in projectors] == [1, 4, 1]
+    assert dec.group_sizes == [1, 4, 1]
 
 
 def test_projectors_p2() -> None:
     dec = eigendecompose(_adjacency(path_graph(2)))
-    projectors = spectral_projectors(dec)
+    projectors = projector_matrices(dec)
     assert len(projectors) == 2
-    for p in projectors:
-        assert p.rank == 1
-        assert np.allclose(np.diag(p.matrix), [0.5, 0.5], atol=1e-12)
+    for p, rank in zip(projectors, dec.group_sizes):
+        assert rank == 1
+        assert np.allclose(np.diag(p), [0.5, 0.5], atol=1e-12)
 
 
 def test_projector_of_identity_is_identity() -> None:
     dec = eigendecompose(np.eye(3))
-    projectors = spectral_projectors(dec)
+    projectors = projector_matrices(dec)
     assert len(projectors) == 1
-    assert projectors[0].rank == 3
-    assert np.allclose(projectors[0].matrix, np.eye(3), atol=1e-12)
+    assert dec.group_sizes[0] == 3
+    assert np.allclose(projectors[0], np.eye(3), atol=1e-12)
 
 
 def test_rejects_bad_input() -> None:
@@ -113,18 +114,22 @@ def test_projector_contracts_random() -> None:
         n = int(rng.integers(2, 13))
         m = _random_symmetric(rng, n)
         dec = eigendecompose(m)
-        projectors = spectral_projectors(dec)
+        vectors, sizes = dec.eigenvectors, dec.group_sizes
+        # the per-group reductions the library reads instead of projectors:
+        # products[x, i, r] = (P_r)_{ix} as in sign_pattern, diagonals[x, r] = (P_r)_{xx}
+        products = group_sums(vectors * vectors[:, None, :], sizes)
+        diagonals = group_sums(vectors**2, sizes)
         tol = residual_tolerance(m)
         total = np.zeros((n, n))
-        for p in projectors:
-            assert float(np.max(np.abs(p.matrix @ p.matrix - p.matrix))) <= tol
-            assert np.allclose(p.matrix, p.matrix.T, atol=1e-14)
-            columns = np.column_stack([p.column(x) for x in range(n)])
-            diagonal = np.array([p.diagonal(x) for x in range(n)])
-            assert max(np.max(np.abs(columns - p.matrix)), np.max(np.abs(diagonal - np.diag(p.matrix)))) <= 1e-14
-            total += p.matrix
+        for r, p in enumerate(projector_matrices(dec)):
+            assert float(np.max(np.abs(p @ p - p))) <= tol
+            assert np.allclose(p, p.T, atol=1e-14)
+            columns = products[:, :, r].T
+            diagonal = diagonals[:, r]
+            assert max(np.max(np.abs(columns - p)), np.max(np.abs(diagonal - np.diag(p)))) <= 1e-14
+            total += p
         assert float(np.max(np.abs(total - np.eye(n)))) <= tol
-        assert sum(p.rank for p in projectors) == n
+        assert sum(sizes) == n
 
 
 def test_eigenvalue_shift_property() -> None:
@@ -165,10 +170,10 @@ def test_fix_signs_flips_by_first_significant_entry() -> None:
     assert np.array_equal(fixed[:, 3], vectors[:, 3])
 
 
-def _reference_signs(projectors, u, v) -> tuple[GroupSign, ...]:
+def _reference_signs(dec, u, v) -> tuple[GroupSign, ...]:
     signs = []
-    for p in projectors:
-        pu, pv = p.column(u), p.column(v)
+    for vectors in group_columns(dec):
+        pu, pv = vectors @ vectors[u], vectors @ vectors[v]
         if np.max(np.abs(pu)) <= SIGN_TOL and np.max(np.abs(pv)) <= SIGN_TOL:
             signs.append(GroupSign.NULL)
         elif np.max(np.abs(pu - pv)) <= SIGN_TOL:
@@ -199,13 +204,13 @@ def test_group_reductions_equal_per_group_reference() -> None:
         dec = eigendecompose(hamiltonian_matrix(model, g))
         for column in dec.eigenvectors.T:
             assert column[np.abs(column) > SIGN_REFERENCE_TOL][0] >= 0.0
-        projectors = spectral_projectors(dec)
-        sizes.update(p.rank for p in projectors)
-        for p in projectors:
-            assert p.eigenvalue == float(np.mean(dec.eigenvalues[list(p.indices)]))
+        sizes.update(dec.group_sizes)
+        for mean, group in zip(group_eigenvalues(dec).tolist(), dec.groups):
+            assert mean == float(np.mean(dec.eigenvalues[list(group)]))
+        columns = group_columns(dec)
         for u in range(g.n):
             for v in range(u + 1, g.n):
                 masses = localization_mass(dec, u, v)
-                assert masses.tolist() == [p.diagonal(u) + p.diagonal(v) for p in projectors]
-                assert sign_pattern(dec, u, v).signs == _reference_signs(projectors, u, v)
+                assert masses.tolist() == [float(np.sum(c[u] ** 2)) + float(np.sum(c[v] ** 2)) for c in columns]
+                assert sign_pattern(dec, u, v).signs == _reference_signs(dec, u, v)
     assert {1, 2, 8, 10, 18} <= sizes

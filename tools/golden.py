@@ -160,6 +160,10 @@ EXTRA = [
     # a horizon whose phases max|lambda| * t_max overflow
     "fidelity --graph path:6 --model adjacency --u 0 --v 5 --tmax 1e308 --samples 3",
     "peak --graph path:6 --model adjacency --u 0 --v 5 --strategy grid --tmax 1e308 --samples 3",
+    # a readout-time bound 2*pi*(|q| + m)^(d-1) beyond the float range
+    "bound --graph path:40 --u 0 --v 39 --epsilon 1e-30",
+    "peak --graph path:6 --model adjacency --u 0 --v 5 --epsilon 1e-300",
+    "sweep --graph path:40 --u 0 --v 39 --kmin 1 --kmax 2 --steps 2 --epsilon 1e-30",
 ]
 
 
