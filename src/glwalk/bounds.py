@@ -71,18 +71,24 @@ def readout_time_bound(q: float, max_degree: int, distance: int) -> float:
 
 
 def q_threshold(inp: ThresholdInput) -> ThresholdResult:
-    """Loop-weight magnitude that guarantees peak fidelity above 1 - epsilon."""
+    """Loop-weight magnitude that guarantees peak fidelity above 1 - epsilon.
+
+    q_min is math.inf where the bound exceeds the float range.
+    """
     if math.isinf(inp.cospectrality_order):
         eps_exponent, degree_exponent = 2.0, 0.5
     else:
         span = inp.cospectrality_order - inp.distance + 1
         eps_exponent = min(2.0, float(span))
         degree_exponent = max(0.5, inp.distance / span)
-    q_min = (
-        16.0
-        * inp.epsilon ** (-1.0 / eps_exponent)
-        * float(inp.max_degree) ** (1.0 + degree_exponent)
-    )
+    try:
+        q_min = (
+            16.0
+            * inp.epsilon ** (-1.0 / eps_exponent)
+            * float(inp.max_degree) ** (1.0 + degree_exponent)
+        )
+    except OverflowError:  # a power beyond the float range; the product saturates alike
+        q_min = math.inf
     return ThresholdResult(
         q_min=q_min,
         k_min=None,

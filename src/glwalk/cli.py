@@ -21,6 +21,7 @@ import sys
 
 import numpy as np
 
+from ._g17 import g17_rows
 from .bounds import k_threshold_two_class
 from .cospectral import (
     cospectrality,
@@ -90,23 +91,35 @@ def _json_number(value: int | float):
     return "infinite" if math.isinf(value) else value
 
 
-#: rows formatted by one % call; one call over a whole 20000-row curve is slower
-CSV_BLOCK_ROWS = 4096
+#: rows formatted per block; g17_rows holds about 350 bytes per value of a block
+CSV_BLOCK_ROWS = 1024
+#: below this many values (rows x columns) one % call is faster than g17_rows,
+#: whose numpy steps cost over 100 us a call (both took about 0.3 ms for 384
+#: values in 2 or 3 columns on a 2-vCPU x86-64 host)
+CSV_KERNEL_MIN_VALUES = 384
 
 
 def _csv(columns, *values) -> str:
     """CSV text: the header, then each row as 17-significant-digit values.
 
     values holds one sequence per column. The columns are stacked as float64
-    (a 0/1 marker prints as 1 or 0 all the same) and each block of rows is
-    formatted by one % over a tuple of Python floats.
+    (a 0/1 marker prints as 1 or 0 all the same) and formatted a block of
+    rows at a time by _g17.g17_rows, which writes the bytes of '%.17g' % x.
+    Small tables and tables with a non-finite value go through one % over a
+    tuple of Python floats per block instead.
     """
     table = np.column_stack(values)
-    line = ",".join(["%.17g"] * len(columns)) + "\n"
     parts = [",".join(columns) + "\n"]
+    if table.size >= CSV_KERNEL_MIN_VALUES and np.isfinite(table).all():
+        rows = g17_rows
+    else:
+        line = ",".join(["%.17g"] * len(columns)) + "\n"
+
+        def rows(block):
+            return line * len(block) % tuple(block.ravel().tolist())
+
     for start in range(0, len(table), CSV_BLOCK_ROWS):
-        block = table[start : start + CSV_BLOCK_ROWS]
-        parts.append(line * len(block) % tuple(block.ravel().tolist()))
+        parts.append(rows(table[start : start + CSV_BLOCK_ROWS]))
     return "".join(parts)
 
 
@@ -141,8 +154,12 @@ def _cmd_peak(args, graph: Graph) -> dict:
     except ValueError:  # raised before any walk was counted
         threshold, order = None, cospectrality(graph, args.u, args.v).order
     else:
-        t_bound = _json_number(res.t_bound)
-        threshold = {"epsilon": args.epsilon, "q_min": res.q_min, "k_min": res.k_min, "t_bound": t_bound}
+        threshold = {
+            "epsilon": args.epsilon,
+            "q_min": _json_number(res.q_min),
+            "k_min": _json_number(res.k_min),
+            "t_bound": _json_number(res.t_bound),
+        }
         order = res.cospectrality_order
     signs = sign_pattern(dec, args.u, args.v)
     masses = localization_mass(dec, args.u, args.v)
@@ -179,6 +196,8 @@ def _cmd_sweep(args, graph: Graph) -> dict | str:
             crossed = crossed or row["crosses_threshold"] == 1
         rows.append(row)
     if args.json:
+        if k_min_threshold is not None:
+            k_min_threshold = _json_number(k_min_threshold)
         return {"k_min_threshold": k_min_threshold, "rows": rows}
     columns = list(rows[0])
     return _csv(columns, *([row[c] for row in rows] for c in columns))
@@ -188,8 +207,8 @@ def _cmd_bound(args, graph: Graph) -> dict:
     res = k_threshold_two_class(graph, args.u, args.v, args.epsilon)
     return {
         "epsilon": args.epsilon,
-        "q_min": res.q_min,
-        "k_min": res.k_min,
+        "q_min": _json_number(res.q_min),
+        "k_min": _json_number(res.k_min),
         "t_bound": _json_number(res.t_bound),
         "eps_exponent": res.eps_exponent,
         "degree_exponent": res.degree_exponent,
@@ -200,8 +219,9 @@ def _cmd_bound(args, graph: Graph) -> dict:
 
 
 def _cmd_analyze(args, graph: Graph) -> dict:
-    cos = cospectrality(graph, args.u, args.v)
-    signs = sign_pattern(eigendecompose(graph.adjacency_matrix(with_loops=False)), args.u, args.v)
+    adjacency = eigendecompose(graph.adjacency_matrix(with_loops=False))
+    cos = cospectrality(graph, args.u, args.v, adjacency)
+    signs = sign_pattern(adjacency, args.u, args.v)
     involution = None
     searched = False
     if args.involution is not None:

@@ -122,14 +122,18 @@ def closed_walk_counts(g: Graph, x: int, k_max: int) -> list[int]:
     return [counts[0] for counts in islice(_closed_walks(g, [x]), k_max)]
 
 
-def cospectrality(g: Graph, u: int, v: int) -> CospectralityResult:
+def cospectrality(
+    g: Graph, u: int, v: int, adjacency: EigenDecomposition | None = None
+) -> CospectralityResult:
     """Cospectrality order of the pair with a projector cross-check.
 
     Exact walk counts from u and v are compared in lockstep up to length n-1;
     the first disagreement yields the finite order and the diverging counts.
     Full agreement is certified as infinite after verifying
     (P_r)_{uu} = (P_r)_{vv} on every adjacency spectral projector; a group
-    where they differ raises CospectralityMismatchError.
+    where they differ raises CospectralityMismatchError. adjacency is the
+    decomposition of g's loop-free adjacency matrix when the caller holds
+    it; otherwise the cross-check computes it.
     """
     g.check_vertex(u)
     g.check_vertex(v)
@@ -139,15 +143,16 @@ def cospectrality(g: Graph, u: int, v: int) -> CospectralityResult:
         if cu != cv:
             divergence = WalkDivergence(length=k, count_u=cu, count_v=cv)
             return CospectralityResult(order=k - 1, first_divergence=divergence)
-    dec = eigendecompose(g.adjacency_matrix(with_loops=False))
-    diag_u, diag_v = pair_diagonals(dec, u, v)
+    if adjacency is None:
+        adjacency = eigendecompose(g.adjacency_matrix(with_loops=False))
+    diag_u, diag_v = pair_diagonals(adjacency, u, v)
     difference = np.abs(diag_u - diag_v)
     mismatched = np.flatnonzero(difference > PROJECTOR_DIAG_TOL)
     if mismatched.size:
         r = mismatched[0]
         raise CospectralityMismatchError(
             "walk counts and projector diagonals disagree; "
-            f"projector at eigenvalue {float(group_eigenvalues(dec)[r])} differs by {difference[r]:.3e}"
+            f"projector at eigenvalue {float(group_eigenvalues(adjacency)[r])} differs by {difference[r]:.3e}"
         )
     return CospectralityResult(order=INFINITE, first_divergence=None)
 

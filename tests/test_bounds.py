@@ -110,6 +110,25 @@ def test_k_threshold_structure_errors() -> None:
         k_threshold_two_class(disconnected, 0, 2, 0.1)
 
 
+def test_q_threshold_beyond_float_range_is_infinite() -> None:
+    # c = d: q_min = 16 * m^(1+d) / eps, whose power 5e-324 ** -1 raises OverflowError
+    res = q_threshold(ThresholdInput(epsilon=5e-324, max_degree=2, cospectrality_order=1, distance=1))
+    assert res.q_min == math.inf
+    assert res.t_bound == pytest.approx(2.0 * math.pi)
+    # finite powers whose product saturates
+    res = q_threshold(ThresholdInput(epsilon=1e-300, max_degree=1000, cospectrality_order=5, distance=5))
+    assert res.q_min == math.inf
+    assert res.t_bound == math.inf
+    # two degree classes, cospectrality order = distance = 3
+    edges = [(0, 2), (0, 4), (0, 5), (1, 5), (1, 6), (1, 7), (2, 4), (2, 6), (3, 6), (3, 7), (4, 7)]
+    g = Graph(n=8, edges=frozenset(edges))
+    for epsilon in (5e-324, 1e-306):
+        res = k_threshold_two_class(g, 3, 5, epsilon)
+        assert (res.q_min, res.k_min, res.t_bound) == (math.inf, math.inf, math.inf)
+        assert res.cospectrality_order == 3
+    assert k_threshold_two_class(g, 3, 5, 0.1).q_min == pytest.approx(16.0 * 3**4 / 0.1, rel=1e-12)
+
+
 def test_readout_time_bound() -> None:
     assert readout_time_bound(143.0, 2, 5) == pytest.approx(2.0 * math.pi * 145.0**4, rel=1e-12)
     assert readout_time_bound(143.0, 2, 5) == pytest.approx(2.777e9, rel=1e-3)

@@ -242,6 +242,61 @@ def test_sweep_infinite_readout_time(capsys) -> None:
     assert [row["crosses_threshold"] for row in report["rows"]] == [0, 0]
 
 
+#: two degree classes; the pair (3, 5) has cospectrality order = distance = 3, so
+#: q_min = 16 * 3^4 / epsilon
+TWO_CLASS_ORDER_EQUALS_DISTANCE = "n=8\n0 2\n0 4\n0 5\n1 5\n1 6\n1 7\n2 4\n2 6\n3 6\n3 7\n4 7\n"
+
+
+def _strict_json(text: str) -> dict:
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("epsilon", ["5e-324", "1e-306"])
+def test_threshold_beyond_float_range_prints_infinite(capsys, tmp_path, epsilon) -> None:
+    doc = tmp_path / "graph.txt"
+    doc.write_text(TWO_CLASS_ORDER_EQUALS_DISTANCE, encoding="utf-8")
+    pair = ["--graph", f"file:{doc}", "--u", "3", "--v", "5", "--epsilon", epsilon]
+
+    code, out, _ = run_cli(capsys, "bound", *pair)
+    assert code == 0
+    report = _strict_json(out)
+    assert (report["q_min"], report["k_min"], report["t_bound"]) == ("infinite",) * 3
+    assert report["cospectrality_order"] == report["distance"] == 3
+
+    code, out, _ = run_cli(capsys, "peak", "--model", "adjacency", *pair)
+    assert code == 0
+    report = _strict_json(out)
+    assert report["threshold"]["q_min"] == report["threshold"]["k_min"] == "infinite"
+    assert 0.0 < report["fidelity"] <= 1.0
+    assert report["cospectrality_order"] == 3
+
+    code, out, _ = run_cli(capsys, "sweep", "--kmin", "1", "--kmax", "2", "--steps", "2", "--json", *pair)
+    assert code == 0
+    report = _strict_json(out)
+    assert report["k_min_threshold"] == "infinite"
+    assert [row["crosses_threshold"] for row in report["rows"]] == [0, 0]
+
+
+def test_analyze_decomposes_the_adjacency_matrix_once(capsys, monkeypatch) -> None:
+    calls = []
+
+    def counted(h):
+        calls.append(h.shape)
+        return eigendecompose(h)
+
+    monkeypatch.setattr(glwalk.cli, "eigendecompose", counted)
+    monkeypatch.setattr(glwalk.cospectral, "eigendecompose", counted)
+    for graph, v, order in (("path:6", "5", "infinite"), ("path:4", "1", 1)):
+        calls.clear()
+        code, out, _ = run_cli(capsys, "analyze", "--graph", graph, "--u", "0", "--v", v)
+        assert code == 0
+        assert json.loads(out)["cospectrality_order"] == order
+        assert len(calls) == 1, graph
+
+
 def test_bound_epsilon_domain_error(capsys) -> None:
     code, _, err = run_cli(
         capsys, "bound", "--graph", "path:6", "--u", "0", "--v", "5", "--epsilon", "0"

@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-GOLDEN_PATH = Path(__file__).resolve().parent.parent / "tools" / "golden.py"
+REPO = Path(__file__).resolve().parent.parent
+GOLDEN_PATH = REPO / "tools" / "golden.py"
 
 
 @pytest.fixture(scope="module")
@@ -54,3 +56,9 @@ def test_compare_lists_the_differing_command(golden, tmp_path, capsys, result) -
     captured = capsys.readouterr()
     assert captured.out == COMMAND + "\n"
     assert "1 of 2 commands differ" in captured.err
+
+
+def test_readme_states_the_corpus_size(golden) -> None:
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    stated = re.findall(r"fixed corpus of (\d+) commands", readme)
+    assert stated == [str(len(golden.corpus()))]

@@ -8,10 +8,11 @@ The first form runs every command of a fixed corpus through
 glwalk from DIR (default: the ``src`` next to this script), and writes
 ``{command: [exit code, stdout, stderr]}`` as JSON. The corpus covers all five
 subcommands, every model spelling, and path, cycle, complete bipartite and
-edge-list graphs: seeded G(n, p) files with loop lines and two fixed files,
-one with a non-finite loop weight and one with no edges, which the commands
-name by a relative path inside a temporary working directory so the keys do
-not depend on where it lives. The second form lists the commands whose exit code, stdout or stderr
+edge-list graphs: seeded G(n, p) files with loop lines and three fixed files,
+one with a non-finite loop weight, one with no edges and one whose pair has
+cospectrality order equal to its distance, which the commands name by a
+relative path inside a temporary working directory so the keys do not depend
+on where it lives. The second form lists the commands whose exit code, stdout or stderr
 differ between two such files, and exits 1 if any do.
 """
 
@@ -39,6 +40,8 @@ TEXT_FILES = {
     "nanloop6.txt": "n=6\nloop 0 nan\n0 1\n1 2\n2 3\n3 4\n4 5\n",
     # one eigenvalue group at every k, so each sweep row takes the grid fallback
     "empty4.txt": "n=4\n",
+    # two degree classes; the pair (3, 5) has cospectrality order = distance = 3
+    "twoclass8.txt": "n=8\n0 2\n0 4\n0 5\n1 5\n1 6\n1 7\n2 4\n2 6\n3 6\n3 7\n4 7\n",
 }
 
 #: (graph, u, v) pairs that get analyze, bound and a peak per model
@@ -137,7 +140,7 @@ EXTRA = [
     "sweep --graph path:20 --u 3 --v 16 --kmin -1.5 --kmax 1.5 --steps 12",
     "sweep --graph cycle:24 --u 0 --v 12 --kmin -1 --kmax 1 --steps 9 --tmax 60 --samples 20001",
     "sweep --graph file:empty4.txt --u 0 --v 3 --kmin -1 --kmax 1 --steps 5 --tmax 20 --samples 1001",
-    # curves around multiples of the CSV block (glwalk.cli.CSV_BLOCK_ROWS = 4096 rows)
+    # curves around multiples of 4096 rows, and so of the CSV block (glwalk.cli.CSV_BLOCK_ROWS)
     "fidelity --graph path:20 --model generalized:0.5 --u 3 --v 16 --tmax 40 --samples 4095",
     "fidelity --graph path:20 --model generalized:0.5 --u 3 --v 16 --tmax 40 --samples 4096",
     "fidelity --graph cycle:24 --model laplacian --u 0 --v 12 --tmax 40 --samples 4097",
@@ -164,6 +167,19 @@ EXTRA = [
     "bound --graph path:40 --u 0 --v 39 --epsilon 1e-30",
     "peak --graph path:6 --model adjacency --u 0 --v 5 --epsilon 1e-300",
     "sweep --graph path:40 --u 0 --v 39 --kmin 1 --kmax 2 --steps 2 --epsilon 1e-30",
+    # a threshold q_min = 16 * eps^-1 * m^4 beyond the float range
+    "bound --graph file:twoclass8.txt --u 3 --v 5 --epsilon 5e-324",
+    "peak --graph file:twoclass8.txt --model adjacency --u 3 --v 5 --epsilon 5e-324",
+    "bound --graph file:twoclass8.txt --u 3 --v 5 --epsilon 1e-306",
+    "sweep --graph file:twoclass8.txt --u 3 --v 5 --kmin 1 --kmax 2 --steps 2 --epsilon 5e-324 --json",
+    # CSV times with 3-digit exponents and e+16 / e+17 layouts, in tables below and
+    # above the kernel crossover (glwalk.cli.CSV_KERNEL_MIN_VALUES); below 1e-250
+    # the kernel takes each value's digits from '%.16e'
+    "fidelity --graph path:4 --model adjacency --u 0 --v 3 --tmax 1e-300 --samples 3",
+    "fidelity --graph path:4 --model adjacency --u 0 --v 3 --tmax 3e17 --samples 3",
+    "fidelity --graph path:4 --model adjacency --u 0 --v 3 --tmax 1e-300 --samples 300",
+    "fidelity --graph path:4 --model adjacency --u 0 --v 3 --tmax 1e-200 --samples 300",
+    "fidelity --graph path:4 --model adjacency --u 0 --v 3 --tmax 3e17 --samples 300",
 ]
 
 
