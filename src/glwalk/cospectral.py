@@ -6,7 +6,7 @@ compared exactly up to length n-1: (A^k)_uu and (A^k)_vv both obey the
 recurrence of A's minimal polynomial, of order <= n, so agreement at lengths
 0..n-1 forces agreement at every length and any divergence shows below n.
 Counts advance in int64 while the next length cannot overflow and in Python
-ints after that, and stop with WalkCountOverflowError beyond 128 bits.
+ints after that, so they are exact at every length and never out of range.
 An independent witness cross-checks the infinite verdict through the
 adjacency spectral projector diagonals.
 
@@ -20,11 +20,11 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
-from itertools import count, islice
+from itertools import islice
 
 import numpy as np
 
-from .errors import CospectralityMismatchError, InvolutionSearchLimitError, WalkCountOverflowError
+from .errors import CospectralityMismatchError, InvolutionSearchLimitError
 from .graphs import Graph
 from .spectral import EigenDecomposition, eigendecompose, group_eigenvalues, group_sums, pair_diagonals
 
@@ -33,7 +33,6 @@ INFINITE = math.inf
 
 SIGN_TOL = 1e-7
 PROJECTOR_DIAG_TOL = 1e-7
-WALK_COUNT_MAX = 2**128 - 1
 INT64_MAX = 2**63 - 1
 INVOLUTION_SEARCH_MAX = 16
 
@@ -80,13 +79,13 @@ class CospectralityResult:
 
 
 def _closed_walks(g: Graph, vertices: list[int]) -> Iterator[list[int]]:
-    # [(A^k)_{xx} for x in vertices] for k = 1, 2, ...; raises at the first k
-    # with a count beyond 128 bits. The state holds column vertices[j] of A^k
-    # at j*(n+1) .. j*(n+1) + n-1, then a zero that isolated vertices gather
-    # as their only neighbour and that gathers itself; one gather and one
-    # reduceat advance it a length. It is int64 while the next length cannot
-    # overflow (no entry of A @ state exceeds max degree times the largest
-    # entry of state) and holds Python ints from the first length that could.
+    # [(A^k)_{xx} for x in vertices] for k = 1, 2, ..., exact at every k. The
+    # state holds column vertices[j] of A^k at j*(n+1) .. j*(n+1) + n-1, then
+    # a zero that isolated vertices gather as their only neighbour and that
+    # gathers itself; one gather and one reduceat advance it a length. It is
+    # int64 while the next length cannot overflow (no entry of A @ state
+    # exceeds max degree times the largest entry of state) and holds Python
+    # ints of any size from the first length that could.
     nbrs = [row or (g.n,) for row in g.adjacency_list()] + [(g.n,)]
     sizes = np.array([len(row) for row in nbrs])
     neighbours = np.array([w for row in nbrs for w in row], dtype=np.intp)
@@ -97,24 +96,19 @@ def _closed_walks(g: Graph, vertices: list[int]) -> Iterator[list[int]]:
     max_degree = int(sizes.max())
     state = np.zeros(len(vertices) * (g.n + 1), dtype=np.int64)
     state[positions] = 1
-    largest = 1
-    for k in count(1):
-        if state.dtype != object and max_degree * largest > INT64_MAX:
+    while True:
+        if state.dtype != object and max_degree * int(state.max()) > INT64_MAX:
             state = state.astype(object)
         np.add.reduceat(state[gather], starts, out=state)
-        largest = int(state.max())
-        if largest > WALK_COUNT_MAX:
-            raise WalkCountOverflowError(k)
         yield state[positions].tolist()
 
 
 def closed_walk_counts(g: Graph, x: int, k_max: int) -> list[int]:
     """Exact closed-walk counts (A^k)_{xx} for k = 1..k_max.
 
-    Counts are exact: the walk vector A^k e_x advances in int64 while max
-    degree times its largest entry fits in int64, so the next length cannot
-    overflow, and in Python ints from there on. Any count leaving the
-    128-bit range raises WalkCountOverflowError naming the offending length.
+    Counts are exact at every length: the walk vector A^k e_x advances in
+    int64 while max degree times its largest entry fits in int64, so the next
+    length cannot overflow, and in Python ints of any size from there on.
     """
     g.check_vertex(x)
     if k_max < 1:
@@ -157,12 +151,12 @@ def cospectrality(
     return CospectralityResult(order=INFINITE, first_divergence=None)
 
 
-def sign_pattern(dec: EigenDecomposition, u: int, v: int, tol: float = SIGN_TOL) -> SignPattern:
+def sign_pattern(dec: EigenDecomposition, u: int, v: int) -> SignPattern:
     """Classify each eigenspace as PLUS, MINUS, NULL, or MIXED for the pair."""
     vectors = dec.eigenvectors
     # column r of pu is P_r e_u, of pv P_r e_v
     pu, pv = group_sums(vectors * vectors[[u, v], None, :], dec.group_sizes)
-    small = (np.max(np.abs([pu, pv, pu - pv, pu + pv]), axis=1) <= tol).tolist()
+    small = (np.max(np.abs([pu, pv, pu - pv, pu + pv]), axis=1) <= SIGN_TOL).tolist()
     signs = []
     for null_u, null_v, plus, minus in zip(*small):
         if null_u and null_v:

@@ -43,13 +43,5 @@ class CospectralityMismatchError(GlwalkError, RuntimeError):
     """Exact walk counts call a pair cospectral but its projector diagonals differ."""
 
 
-class WalkCountOverflowError(GlwalkError, OverflowError):
-    """A closed-walk count left the supported 128-bit range."""
-
-    def __init__(self, length: int):
-        self.length = length
-        super().__init__(f"closed-walk count exceeds the 128-bit range at length {length}")
-
-
 class InvolutionSearchLimitError(GlwalkError, ValueError):
     """Automorphism search requested on a graph above the supported size."""

@@ -65,3 +65,31 @@ def random_model(rng: np.random.Generator, g: Graph) -> Model:
         return Generalized(float(rng.uniform(-3.0, 3.0)))
     u, v = rng.choice(g.n, size=2, replace=False)
     return LoopPerturbed(int(u), int(v), float(rng.uniform(-30.0, 30.0)))
+
+
+def late_divergence_graph(rng: np.random.Generator) -> tuple[Graph, int, int]:
+    """A graph and pair (u, v) whose closed-walk counts agree past 2^128.
+
+    u = 0 and v = 10 sit in two copies of K_10. The last vertex of each
+    clique starts a path of 20 edges that ends on one of two seeded vertices
+    a, b of a seeded random 6-vertex graph, and a and b have different
+    degrees. Walks from u and v mirror each other until they reach that
+    graph, so the counts first differ at about length 2 * 21, where they
+    have grown like 9^length.
+    """
+    clique, path, feature = 10, 20, 6
+    while True:
+        inner = [(i, j) for i in range(feature) for j in range(i + 1, feature) if rng.random() < 0.5]
+        degree = np.bincount(np.array(inner, dtype=int).ravel(), minlength=feature)
+        a, b = (int(x) for x in rng.choice(feature, size=2, replace=False))
+        if degree[a] != degree[b]:
+            break
+    first_feature = 2 * clique + 2 * (path - 1)
+    edges = {(base + i, base + j) for base in (0, clique) for i in range(clique) for j in range(i + 1, clique)}
+    edges |= {(first_feature + i, first_feature + j) for i, j in inner}
+    nxt = 2 * clique
+    for start, end in ((clique - 1, first_feature + a), (2 * clique - 1, first_feature + b)):
+        chain = [start, *range(nxt, nxt + path - 1), end]
+        edges |= set(zip(chain, chain[1:]))
+        nxt += path - 1
+    return Graph(n=first_feature + feature, edges=frozenset(edges)), 0, clique

@@ -14,6 +14,7 @@ from glwalk import (
     hamiltonian_matrix,
     path_graph,
     cospectrality,
+    to_edge_list,
     two_level_candidate_time,
 )
 import glwalk.bounds
@@ -21,6 +22,8 @@ import glwalk.cli
 import glwalk.cospectral
 import glwalk.spectral
 from glwalk.cli import main
+from generators import late_divergence_graph
+from oracles import walk_count_oracle
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -178,8 +181,13 @@ def test_sweep_structure_error_when_threshold_requested(capsys) -> None:
     assert code == 2
 
 
-def test_sweep_checks_steps_before_counting_walks(capsys) -> None:
-    # the threshold would count walks on path:200 to length 136 and overflow
+def _fail_if_called(*args, **kwargs):
+    raise AssertionError("walk counts were computed")
+
+
+def test_sweep_checks_steps_before_counting_walks(capsys, monkeypatch) -> None:
+    # --steps is rejected before the threshold counts walks on path:200 to length 199
+    monkeypatch.setattr(glwalk.bounds, "cospectrality", _fail_if_called)
     code, out, err = run_cli(
         capsys, "sweep", "--graph", "path:200", "--u", "0", "--v", "199",
         "--kmin", "1", "--kmax", "2", "--steps", "0", "--epsilon", "0.1",
@@ -326,12 +334,44 @@ def test_analyze_path4_divergence(capsys) -> None:
 
 
 def test_analyze_path200_divergence(capsys) -> None:
-    # the first divergence is at length 2; counting on to length 2n overflowed
+    # the first divergence is at length 2, where counting stops
     code, out, _ = run_cli(capsys, "analyze", "--graph", "path:200", "--u", "0", "--v", "5")
     assert code == 0
     report = json.loads(out)
     assert report["cospectrality_order"] == 1
     assert report["first_divergence"] == {"length": 2, "count_u": 1, "count_v": 2}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param("analyze --graph cycle:200 --u 0 --v 100", id="analyze-cycle200"),
+        pytest.param("bound --graph path:200 --u 0 --v 199 --epsilon 0.1", id="bound-path200"),
+        pytest.param("peak --graph cycle:800 --model adjacency --u 0 --v 5", id="peak-cycle800"),
+    ],
+)
+def test_mirror_pairs_counted_past_128_bits_are_infinite(capsys, argv) -> None:
+    # counts to length n - 1 pass 2^128 (at length 132 on cycle:200 and cycle:800, 136 on path:200)
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert json.loads(out)["cospectrality_order"] == "infinite"
+
+
+def test_analyze_late_divergence_counts_match_oracle(capsys, tmp_path) -> None:
+    g, u, v = late_divergence_graph(np.random.default_rng(1515))
+    doc = tmp_path / "graph.txt"
+    doc.write_text(to_edge_list(g), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "analyze", "--graph", f"file:{doc}", "--u", str(u), "--v", str(v))
+    assert code == 0
+    divergence = json.loads(out)["first_divergence"]
+    length = divergence["length"]
+    counts_u = walk_count_oracle(g, u, length)
+    counts_v = walk_count_oracle(g, v, length)
+    assert counts_u[:-1] == counts_v[:-1]
+    # the counts agree past 2^128 and first differ after it
+    assert counts_u[-2].bit_length() > 128
+    assert (divergence["count_u"], divergence["count_v"]) == (counts_u[-1], counts_v[-1])
+    assert counts_u[-1] != counts_v[-1]
 
 
 # two degree classes (0 and 5 have degree 3, every other vertex 2), but only 0
@@ -434,6 +474,10 @@ def _raise_convergence(*args):
     raise ConvergenceError("eigensolver did not converge")
 
 
+def _raise_overflow(*args):
+    raise OverflowError("int too large to convert to float")
+
+
 def _skewed_pair_diagonals(dec, u, v):
     diagonals = glwalk.spectral.pair_diagonals(dec, u, v)
     diagonals[0] += 1e-3
@@ -456,7 +500,10 @@ def _skewed_pair_diagonals(dec, u, v):
             (glwalk.cospectral, "pair_diagonals", _skewed_pair_diagonals), "cospectrality-mismatch", 3,
             id="cospectrality-mismatch",
         ),
-        pytest.param("analyze --graph cycle:200 --u 0 --v 100", None, "overflow", 3, id="overflow"),
+        pytest.param(
+            "analyze --graph path:6 --u 0 --v 5", (glwalk.cli, "cospectrality", _raise_overflow), "overflow", 3,
+            id="overflow",
+        ),
         pytest.param(
             "peak --graph path:6 --model adjacency --u 0 --v 5",
             (glwalk.cli, "eigendecompose", _raise_convergence), "convergence", 3,

@@ -106,12 +106,14 @@ EXTRA = [
     "peak --graph path:7 --model generalized:143 --u 0 --v 6",
     "peak --graph path:100 --model generalized:0.5 --u 0 --v 99",
     "peak --graph cycle:200 --model adjacency --u 0 --v 100",
+    "peak --graph cycle:800 --model adjacency --u 0 --v 5",
     "peak --graph file:gnp150.txt --model generalized:0.3 --u 0 --v 1",
     "analyze --graph path:60 --u 0 --v 59",
     "analyze --graph path:200 --u 0 --v 5",
     "analyze --graph path:200 --u 0 --v 199",
     "analyze --graph cycle:60 --u 0 --v 30",
     "analyze --graph cycle:200 --u 0 --v 100",
+    "analyze --graph bipartite:100,100 --u 0 --v 1",
     "analyze --graph path:6 --u 0 --v 5 --involution 5,4,3,2,1,0",
     "analyze --graph path:6 --u 0 --v 5 --involution 1,0,2,3,4,5",
     "analyze --graph path:17 --u 0 --v 16",
