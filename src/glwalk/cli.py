@@ -181,12 +181,13 @@ def _cmd_sweep(args, graph: Graph) -> dict | str:
         raise UsageError("--steps must be at least 1")
     if not (math.isfinite(args.kmin) and math.isfinite(args.kmax)):
         raise UsageError(f"--kmin and --kmax must be finite, got {args.kmin!r} and {args.kmax!r}")
+    fallback = GridSearch(t_max=args.tmax, samples=args.samples)
     k_min_threshold = None
     if args.threshold or args.epsilon is not None:
         epsilon = args.epsilon if args.epsilon is not None else 0.1
         k_min_threshold = k_threshold_two_class(graph, args.u, args.v, epsilon).k_min
     ks = np.linspace(args.kmin, args.kmax, args.steps).tolist()
-    peaks = sweep_peaks(graph, args.u, args.v, ks, GridSearch(t_max=args.tmax, samples=args.samples))
+    peaks = sweep_peaks(graph, args.u, args.v, ks, fallback)
     rows = []
     crossed = False
     for k, peak in zip(ks, peaks):

@@ -10,21 +10,22 @@ samples cost about 2*sqrt(S)*n complex exponentials and one
 sqrt(S) x n x sqrt(S) complex matrix product, with O(sqrt(S)*n + S) memory,
 in place of S*n exponentials held at once.
 
-Peak searches are step-wise. Starting a search validates the strategy,
-seeds it and scans its sample window, on stacked arrays for any number of
-spectra: one group_sums over all of them for the two-level candidates and
-one batched window product per stack of scans. A started search keeps only
-its phases -i*lambda and weights V[u]*V[v]; its steps yield each time the
-golden-section refine needs and receive |U(t)_{u,v}| there. Started
-searches run in lockstep: each round evaluates every pending time with one
-np.exp over the stacked phases and one (K,1,n) @ (K,n,1) np.matmul.
-peak_fidelity is the one-search case; sweep_peaks starts its searches a
-block of k values at a time and runs all of them in one lockstep. The
-stacked forms keep every result bit-identical to the search run alone:
-matmul takes each slice's product with the same dot as the 2-D product (a
-(K,n) row-wise product or a sum rounds differently), every other stacked
-operation is elementwise or per row, and reported magnitudes go through
-Python abs, which np.abs on a complex array does not always match.
+Peak searches are step-wise; a strategy checks its own settings when
+built. Starting a search seeds it and scans its sample window, on stacked
+arrays for any number of spectra: one group_sums over all of them for the
+two-level candidates and one batched window product per stack of scans. A
+started search keeps only its phases -i*lambda and weights V[u]*V[v]; its
+steps yield each time the golden-section refine needs and receive
+|U(t)_{u,v}| there. Started searches run in lockstep: each round evaluates
+every pending time with one np.exp over the stacked phases and one
+(K,1,n) @ (K,n,1) np.matmul. peak_fidelity is the one-search case;
+sweep_peaks starts its searches a block of k values at a time and runs all
+of them in one lockstep. The stacked forms keep every result bit-identical
+to the search run alone: matmul takes each slice's product with the same
+dot as the 2-D product (a (K,n) row-wise product or a sum rounds
+differently), every other stacked operation is elementwise or per row, and
+reported magnitudes go through Python abs, which np.abs on a complex array
+does not always match.
 """
 
 from __future__ import annotations
@@ -78,11 +79,23 @@ class GridSearch:
     t_max: float
     samples: int
 
+    def __post_init__(self):
+        if not 0 < self.t_max < math.inf:
+            raise ValueError(f"t_max must be positive and finite, got {self.t_max!r}")
+        if self.samples < 3:
+            raise ValueError("need at least three grid samples")
+
 
 @dataclass(frozen=True)
 class TwoLevelSearch:
     refine_window_fraction: float = 0.5
     refine_samples: int = 2000
+
+    def __post_init__(self):
+        if not 0 < self.refine_window_fraction < 1:
+            raise ValueError("refine_window_fraction must lie in (0, 1)")
+        if self.refine_samples < 3:
+            raise ValueError("need at least three refinement samples")
 
 
 def evolution_amplitude(dec: EigenDecomposition, t: float, u: int, v: int) -> complex:
@@ -171,7 +184,7 @@ def _two_level_candidates(
     candidates: list[float | DegenerateGapError] = []
     stop = 0
     for dec in decs:
-        start, stop = stop, stop + len(dec.groups)
+        start, stop = stop, stop + len(dec.group_sizes)
         if stop - start < 2:
             candidates.append(DegenerateGapError("fewer than two eigenvalue groups; no beat frequency exists"))
             continue
@@ -249,19 +262,6 @@ def _search_steps(t_candidate: float | None, t_sample: float, bracket_lo: float,
 _Search = tuple[np.ndarray, np.ndarray, Generator]
 
 
-def _check_strategy(strategy: GridSearch | TwoLevelSearch) -> None:
-    if isinstance(strategy, TwoLevelSearch):
-        if not 0 < strategy.refine_window_fraction < 1:
-            raise ValueError("refine_window_fraction must lie in (0, 1)")
-        if strategy.refine_samples < 3:
-            raise ValueError("need at least three refinement samples")
-    else:
-        if not 0 < strategy.t_max < math.inf:
-            raise ValueError(f"t_max must be positive and finite, got {strategy.t_max!r}")
-        if strategy.samples < 3:
-            raise ValueError("need at least three grid samples")
-
-
 def _scan(
     strategy: GridSearch | TwoLevelSearch, eigenvalues: np.ndarray, weights: np.ndarray, candidates: list
 ) -> list[Generator]:
@@ -292,15 +292,14 @@ def _start_searches(
 ) -> list[_Search]:
     """The started search of each decomposition (all of one size), stage by stage on stacked arrays.
 
-    Validates the strategy, seeds each search and scans its sample window,
-    so it raises what peak_fidelity raises before any time is evaluated. A
+    Seeds each search and scans its sample window, so it raises what
+    peak_fidelity raises before any time is evaluated. A
     decomposition whose two-level candidate raises DegenerateGapError is
     searched with fallback instead; without a fallback the error propagates.
     Scans of S samples run max(1, SWEEP_BLOCK_ENTRIES // S) decompositions
     at a time. A started search holds O(n) data and no reference to its
     decomposition.
     """
-    _check_strategy(strategy)
     eigenvalues = np.array([dec.eigenvalues for dec in decs])
     pairs = np.array([(dec.eigenvectors[u], dec.eigenvectors[v]) for dec in decs])
     if isinstance(strategy, TwoLevelSearch):
@@ -313,7 +312,6 @@ def _start_searches(
         if isinstance(candidate, DegenerateGapError):
             if fallback is None:
                 raise candidate
-            _check_strategy(fallback)
             chosen, candidates[i] = fallback, None
         members.setdefault(chosen, []).append(i)
     weights = pairs[:, 0] * pairs[:, 1]

@@ -64,11 +64,12 @@ class Graph:
         return ((u, v) if u < v else (v, u)) in self.edges
 
     def adjacency_list(self) -> tuple[tuple[int, ...], ...]:
+        """Neighbours of each vertex, in no particular order."""
         nbrs: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:
             nbrs[u].append(v)
             nbrs[v].append(u)
-        return tuple(tuple(sorted(lst)) for lst in nbrs)
+        return tuple(map(tuple, nbrs))
 
     def adjacency_matrix(self, with_loops: bool = True) -> np.ndarray:
         """Dense adjacency matrix; loop weights go on the diagonal unless disabled."""

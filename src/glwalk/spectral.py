@@ -19,8 +19,6 @@ ORTHONORMALITY_TOL = 1e-10
 # ~1e-13 * range), tight enough not to swallow the physically meaningful beat
 # gap of a strongly loop-perturbed pair, which can sit near 1e-11 * range.
 GROUPING_SCALE = 1e-12
-# entries below this are skipped when picking the sign-fixing reference entry
-SIGN_REFERENCE_TOL = 1e-8
 
 
 def residual_tolerance(matrix: np.ndarray) -> float:
@@ -36,16 +34,19 @@ def grouping_tolerance(eigenvalues: np.ndarray) -> float | np.ndarray:
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Ascending eigenvalues, orthonormal column eigenvectors, degeneracy groups.
+    """Ascending eigenvalues, orthonormal column eigenvectors, degeneracy group sizes.
 
-    groups partitions 0..n-1 into runs of (numerically) equal eigenvalues,
-    ordered by eigenvalue, so the columns of a group are consecutive and
-    per-group reductions run over the eigenvector columns in order.
+    The degeneracy groups are runs of (numerically) equal eigenvalues,
+    ordered by eigenvalue; group r is the group_sizes[r] consecutive columns
+    after those of groups 0..r-1, so per-group reductions run over the
+    eigenvector columns in order. Eigenvector signs are as the solver returns
+    them: every quantity read from a column is a product of two of its
+    entries, which negating the column leaves bit-identical.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    groups: tuple[tuple[int, ...], ...]
+    group_sizes: tuple[int, ...]
 
     @property
     def n(self) -> int:
@@ -55,32 +56,16 @@ class EigenDecomposition:
     def spectral_range(self) -> float:
         return float(self.eigenvalues[-1] - self.eigenvalues[0])
 
-    @property
-    def group_sizes(self) -> list[int]:
-        return [len(group) for group in self.groups]
 
-
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    # make the first entry above SIGN_REFERENCE_TOL nonnegative, per column of
-    # each matrix of the stack; a column with no such entry is left as it is
-    stack = vectors.reshape(-1, *vectors.shape[-2:])
-    significant = np.abs(stack) > SIGN_REFERENCE_TOL
-    first = np.argmax(significant, axis=1)
-    members, columns = np.arange(len(stack))[:, None], np.arange(stack.shape[2])
-    flip = significant[members, first, columns] & (stack[members, first, columns] < 0)
-    np.negative(vectors, out=vectors, where=flip.reshape(*vectors.shape[:-2], 1, vectors.shape[-1]))
-    return vectors
-
-
-def _group_by_gap(eigenvalues: np.ndarray) -> list[tuple[tuple[int, ...], ...]]:
-    # the groups of each row of a (K, n) stack of ascending eigenvalues
+def _group_sizes(eigenvalues: np.ndarray) -> list[tuple[int, ...]]:
+    # the group sizes of each row of a (K, n) stack of ascending eigenvalues
     n = eigenvalues.shape[1]
-    groups = []
+    sizes = []
     gaps = eigenvalues[:, 1:] - eigenvalues[:, :-1]
     for breaks in (gaps > grouping_tolerance(eigenvalues)[:, None]).tolist():
         bounds = [0, *(i + 1 for i, gap in enumerate(breaks) if gap), n]
-        groups.append(tuple(tuple(range(a, b)) for a, b in zip(bounds, bounds[1:])))
-    return groups
+        sizes.append(tuple(b - a for a, b in zip(bounds, bounds[1:])))
+    return sizes
 
 
 def eigendecompose_stack(matrices: np.ndarray) -> list[EigenDecomposition]:
@@ -88,6 +73,8 @@ def eigendecompose_stack(matrices: np.ndarray) -> list[EigenDecomposition]:
 
     Each decomposition equals that of its matrix alone bit for bit and views
     the stack's arrays, which live as long as any of the decompositions.
+    Its group sizes come from one gap comparison over the stacked
+    eigenvalues; eigenvector signs are those eigh returns.
     """
     a = np.asarray(matrices, dtype=float)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
@@ -98,12 +85,11 @@ def eigendecompose_stack(matrices: np.ndarray) -> list[EigenDecomposition]:
         eigenvalues, vectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"symmetric eigensolver did not converge: {exc}") from exc
-    vectors = _fix_signs(vectors)
     eigenvalues.setflags(write=False)
     vectors.setflags(write=False)
     return [
-        EigenDecomposition(eigenvalues=values, eigenvectors=columns, groups=groups)
-        for values, columns, groups in zip(eigenvalues, vectors, _group_by_gap(eigenvalues))
+        EigenDecomposition(eigenvalues=values, eigenvectors=columns, group_sizes=sizes)
+        for values, columns, sizes in zip(eigenvalues, vectors, _group_sizes(eigenvalues))
     ]
 
 
@@ -111,8 +97,9 @@ def eigendecompose(matrix: np.ndarray) -> EigenDecomposition:
     """Full eigendecomposition of an exactly symmetric real matrix.
 
     Raises ConvergenceError if the underlying solver fails to converge,
-    ValueError for non-square or non-symmetric input. Eigenvector signs
-    follow a fixed convention so repeated runs give identical output.
+    ValueError for non-square or non-symmetric input. Eigenvector signs are
+    as the solver returns them (see EigenDecomposition); repeated runs on
+    one matrix give identical output.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:

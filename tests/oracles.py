@@ -75,9 +75,15 @@ def dense_peak(dec: EigenDecomposition, u: int, v: int, times: np.ndarray) -> tu
     return float(times[i]), float(values[i])
 
 
+def group_runs(dec: EigenDecomposition) -> list[slice]:
+    """Each degeneracy group's run of consecutive column indices, from the cumulative group sizes."""
+    stops = np.cumsum(dec.group_sizes).tolist()
+    return [slice(stop - size, stop) for size, stop in zip(dec.group_sizes, stops)]
+
+
 def group_columns(dec: EigenDecomposition) -> list[np.ndarray]:
-    """Each degeneracy group's eigenvector columns V_r (groups are runs of consecutive columns)."""
-    return [dec.eigenvectors[:, group[0] : group[-1] + 1] for group in dec.groups]
+    """Each degeneracy group's eigenvector columns V_r."""
+    return [dec.eigenvectors[:, run] for run in group_runs(dec)]
 
 
 def projector_matrices(dec: EigenDecomposition) -> list[np.ndarray]:

@@ -539,6 +539,7 @@ NAN_LOOP_PATH = "n=6\nloop 0 nan\n0 1\n1 2\n2 3\n3 4\n4 5\n"
         pytest.param("fidelity --model adjacency --tmax 1e308 --samples 3", "1e+308", id="fidelity-tmax-phase-overflow"),
         pytest.param("sweep --kmin nan --kmax 1 --steps 2", "nan", id="sweep-kmin-nan"),
         pytest.param("sweep --kmin 0 --kmax inf --steps 2", "inf", id="sweep-kmax-inf"),
+        pytest.param("sweep --kmin 1 --kmax 2 --steps 2 --tmax nan", "nan", id="sweep-tmax-nan"),
         pytest.param("peak --model generalized:nan", "nan", id="generalized-nan"),
         pytest.param("peak --model generalized:inf", "inf", id="generalized-inf"),
         pytest.param("peak --model loops:0,5,nan", "nan", id="loops-nan"),
@@ -644,6 +645,13 @@ def test_bad_flags_exit_2(capsys) -> None:
         capsys, "peak", "--graph", "path:3", "--model", "adjacency", "--u", "0", "--v", "7"
     )
     assert code == 2
+
+    # the sweep's grid fallback is checked even where no k needs it
+    sweep = ["sweep", "--graph", "path:6", "--u", "0", "--v", "5", "--kmin", "1", "--kmax", "2", "--steps", "2"]
+    for flag in (["--samples", "1"], ["--tmax=-5"]):
+        code, out, err = run_cli(capsys, *sweep, *flag)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["type"] == "validation"
 
 
 def test_fidelity_json_mode(capsys) -> None:

@@ -5,30 +5,40 @@ import math
 import numpy as np
 import pytest
 
-from generators import random_graph, random_model, structured_graph
+from generators import mirror_pair, random_graph, random_model, structured_graph
 from glwalk import (
     Adjacency,
+    CospectralityMismatchError,
+    DegenerateGapError,
+    EigenDecomposition,
+    FidelityCurve,
     Generalized,
+    GridSearch,
     GroupSign,
+    TwoLevelSearch,
     complete_bipartite,
+    cospectrality,
     cycle_graph,
     eigendecompose,
+    evolution_amplitude,
+    fidelity_curve,
     hamiltonian_matrix,
     localization_mass,
     path_graph,
+    peak_fidelity,
     sign_pattern,
+    two_level_candidate_time,
 )
 from glwalk.cospectral import SIGN_TOL
 from glwalk.spectral import (
     ORTHONORMALITY_TOL,
-    SIGN_REFERENCE_TOL,
-    _fix_signs,
     group_eigenvalues,
     group_sums,
     grouping_tolerance,
+    pair_diagonals,
     residual_tolerance,
 )
-from oracles import group_columns, projector_matrices
+from oracles import group_columns, group_runs, projector_matrices
 
 
 def _adjacency(g):
@@ -52,7 +62,7 @@ def test_k24_adjacency_spectrum_and_groups() -> None:
     dec = eigendecompose(a)
     root8 = math.sqrt(8.0)
     assert np.allclose(dec.eigenvalues, [-root8, 0, 0, 0, 0, root8], atol=1e-10)
-    assert dec.group_sizes == [1, 4, 1]
+    assert dec.group_sizes == (1, 4, 1)
 
 
 def test_projectors_p2() -> None:
@@ -100,12 +110,13 @@ def test_random_matrix_contracts() -> None:
         assert abs(float(np.trace(m)) - float(lam.sum())) <= tol * n
 
         group_tol = grouping_tolerance(lam)
-        assert sum(len(g) for g in dec.groups) == n
-        for group in dec.groups:
-            members = lam[list(group)]
+        runs = group_runs(dec)
+        assert sum(dec.group_sizes) == n and min(dec.group_sizes) >= 1
+        for run in runs:
+            members = lam[run]
             assert float(members.max() - members.min()) <= group_tol
-        for left, right in zip(dec.groups, dec.groups[1:]):
-            assert lam[right[0]] - lam[left[-1]] > group_tol
+        for left, right in zip(runs, runs[1:]):
+            assert lam[right.start] - lam[left.stop - 1] > group_tol
 
 
 def test_projector_contracts_random() -> None:
@@ -143,31 +154,12 @@ def test_eigenvalue_shift_property() -> None:
         assert float(np.max(np.abs(shifted - (base + c)))) <= residual_tolerance(m) + abs(c) * 1e-12
 
 
-def test_sign_convention_is_deterministic() -> None:
+def test_eigenvectors_are_deterministic() -> None:
     rng = np.random.default_rng(109)
     m = _random_symmetric(rng, 8)
     first = eigendecompose(m)
     second = eigendecompose(m)
     assert np.array_equal(first.eigenvectors, second.eigenvectors)
-    for j in range(8):
-        col = first.eigenvectors[:, j]
-        lead = col[np.abs(col) > 1e-8][0]
-        assert lead >= 0.0
-
-
-def test_fix_signs_flips_by_first_significant_entry() -> None:
-    vectors = np.array(
-        [
-            [-1e-9, 0.0, -0.5, 0.6],
-            [2e-9, -0.3, 0.2, -0.8],
-            [-5e-9, 0.1, 0.0, 0.0],
-        ]
-    )
-    fixed = _fix_signs(vectors.copy())
-    # no entry above SIGN_REFERENCE_TOL: left unchanged
-    assert np.array_equal(fixed[:, 0], vectors[:, 0])
-    assert np.array_equal(fixed[:, 1:3], -vectors[:, 1:3])
-    assert np.array_equal(fixed[:, 3], vectors[:, 3])
 
 
 def _reference_signs(dec, u, v) -> tuple[GroupSign, ...]:
@@ -202,11 +194,9 @@ def test_group_reductions_equal_per_group_reference() -> None:
     sizes = set()
     for g, model in _reduction_cases():
         dec = eigendecompose(hamiltonian_matrix(model, g))
-        for column in dec.eigenvectors.T:
-            assert column[np.abs(column) > SIGN_REFERENCE_TOL][0] >= 0.0
         sizes.update(dec.group_sizes)
-        for mean, group in zip(group_eigenvalues(dec).tolist(), dec.groups):
-            assert mean == float(np.mean(dec.eigenvalues[list(group)]))
+        for mean, run in zip(group_eigenvalues(dec).tolist(), group_runs(dec)):
+            assert mean == float(np.mean(dec.eigenvalues[run]))
         columns = group_columns(dec)
         for u in range(g.n):
             for v in range(u + 1, g.n):
@@ -214,3 +204,61 @@ def test_group_reductions_equal_per_group_reference() -> None:
                 assert masses.tolist() == [float(np.sum(c[u] ** 2)) + float(np.sum(c[v] ** 2)) for c in columns]
                 assert sign_pattern(dec, u, v).signs == _reference_signs(dec, u, v)
     assert {1, 2, 8, 10, 18} <= sizes
+
+
+def _flip_cases():
+    rng = np.random.default_rng(131)
+    for i in range(30):
+        if i % 2:
+            g = structured_graph(rng)
+            u, v = mirror_pair(g, rng)
+        else:
+            g = random_graph(rng)
+            u, v = (int(x) for x in rng.choice(g.n, size=2, replace=False))
+        yield g, random_model(rng, g), u, v
+    yield path_graph(6), Generalized(143.0), 0, 5
+
+
+def _with_flipped_columns(dec, rng):
+    # the same decomposition with a random nonempty subset of its columns negated
+    flip = rng.random(dec.n) < 0.5
+    flip[rng.integers(dec.n)] = True
+    return EigenDecomposition(dec.eigenvalues, np.where(flip, -dec.eigenvectors, dec.eigenvectors), dec.group_sizes)
+
+
+def _outcome(f, *args):
+    # f's result as exact bytes or repr, or the error it raises
+    try:
+        result = f(*args)
+    except (DegenerateGapError, CospectralityMismatchError) as exc:
+        return repr(exc)
+    if isinstance(result, FidelityCurve):
+        return result.times.tobytes(), result.probabilities.tobytes()
+    if isinstance(result, np.ndarray):
+        return result.shape, result.tobytes()
+    return repr(result)
+
+
+def test_flipping_eigenvector_signs_changes_no_result() -> None:
+    # every result reads products of two entries of one eigenvector column,
+    # which negating the column leaves bit-identical
+    rng = np.random.default_rng(137)
+    for g, model, u, v in _flip_cases():
+        dec = eigendecompose(hamiltonian_matrix(model, g))
+        flipped = _with_flipped_columns(dec, rng)
+        assert not np.array_equal(flipped.eigenvectors, dec.eigenvectors)
+        calls = [(evolution_amplitude, t, u, v) for t in (0.0, 0.7, 13.0, 6.6e8)] + [
+            (fidelity_curve, u, v, 20.0, 301),
+            (fidelity_curve, u, v, 1e9, 301),
+            (peak_fidelity, u, v, GridSearch(20.0, 401)),
+            (peak_fidelity, u, v, TwoLevelSearch()),
+            (two_level_candidate_time, u, v),
+            (pair_diagonals, u, v),
+            (localization_mass, u, v),
+            (sign_pattern, u, v),
+        ]
+        for f, *args in calls:
+            assert _outcome(f, flipped, *args) == _outcome(f, dec, *args), f.__name__
+        adjacency = eigendecompose(g.adjacency_matrix(with_loops=False))
+        flipped = _with_flipped_columns(adjacency, rng)
+        assert _outcome(cospectrality, g, u, v, flipped) == _outcome(cospectrality, g, u, v, adjacency)

@@ -132,6 +132,8 @@ EXTRA = [
     "fidelity --graph path:6 --model adjacency --u 0 --v 5 --tmax inf --samples 11",
     "sweep --graph path:6 --u 0 --v 5 --kmin nan --kmax 1 --steps 2",
     "sweep --graph path:6 --u 0 --v 5 --kmin 0 --kmax inf --steps 2",
+    "sweep --graph path:6 --u 0 --v 5 --kmin 1 --kmax 2 --steps 2 --tmax nan",
+    "sweep --graph path:6 --u 0 --v 5 --kmin 1 --kmax 2 --steps 2 --samples 1",
     "peak --graph path:6 --model generalized:nan --u 0 --v 5",
     "peak --graph path:6 --model generalized:inf --u 0 --v 5",
     "peak --graph path:6 --model loops:0,5,nan --u 0 --v 5",
