@@ -99,15 +99,21 @@ def q_threshold(inp: ThresholdInput) -> ThresholdResult:
     )
 
 
-def k_threshold_two_class(graph: Graph, u: int, v: int, epsilon: float) -> ThresholdResult:
+def k_threshold_two_class(
+    graph: Graph, u: int, v: int, epsilon: float, involution=None
+) -> ThresholdResult:
     """Generalized-model threshold for a graph with two degree classes.
 
     The loop-weight reduction maps the degree-scaling coefficient k to the
     effective loop weight q = k*(d1 - d2), so |k| > q_min / |d1 - d2|
     inherits the q_threshold guarantee. Cospectrality and distance are
-    computed from the graph, the walk count last, so every other input error
-    is raised before it; a cospectrality order below the distance raises
-    ThresholdHypothesisError, which carries the order.
+    computed from the graph, the cospectrality order last, so every other
+    input error is raised before it; a cospectrality order below the
+    distance raises ThresholdHypothesisError, which carries the order.
+    involution is an optional candidate automorphism passed to
+    cospectrality: once verified with involution[u] == v it proves the
+    order infinite, so no walk is counted and no adjacency matrix is
+    decomposed; otherwise the order is counted and cross-checked.
     """
     q_unit = reduced_model(graph, u, v, 1.0).q
     distance = graph.distance(u, v)
@@ -119,5 +125,6 @@ def k_threshold_two_class(graph: Graph, u: int, v: int, epsilon: float) -> Thres
         cospectrality_order=math.inf,
         distance=int(distance),
     )
-    base = q_threshold(replace(inp, cospectrality_order=cospectrality(graph, u, v).order))
+    order = cospectrality(graph, u, v, involution=involution).order
+    base = q_threshold(replace(inp, cospectrality_order=order))
     return replace(base, k_min=base.q_min / abs(q_unit))

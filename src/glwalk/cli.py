@@ -86,6 +86,30 @@ def parse_graph(text: str) -> Graph:
     raise UsageError(f"unknown graph kind {kind!r}")
 
 
+def _mirror_involution(text: str, u: int, v: int) -> tuple[int, ...] | None:
+    """Closed-form involution swapping u and v on a named graph, or None.
+
+    text is a --graph flag that parse_graph accepted. path:n with
+    u + v = n - 1 reverses the path, cycle:n reflects x to (u + v - x) mod n,
+    and bipartite:a,b with u and v on one side transposes them; other pairs
+    and file: graphs get None. The result is only a candidate: cospectrality
+    verifies it before it proves anything.
+    """
+    kind, _, rest = text.partition(":")
+    if kind == "path" and u + v == int(rest) - 1:
+        return tuple(range(u + v, -1, -1))
+    if kind == "cycle":
+        n = int(rest)
+        return tuple((u + v - x) % n for x in range(n))
+    if kind == "bipartite":
+        a, b = (int(part) for part in rest.split(","))
+        if (u < a) == (v < a):
+            sigma = list(range(a + b))
+            sigma[u], sigma[v] = v, u
+            return tuple(sigma)
+    return None
+
+
 def _json_number(value: int | float):
     # JSON has no infinity; an infinite order or bound prints as "infinite"
     return "infinite" if math.isinf(value) else value
@@ -147,12 +171,13 @@ def _cmd_peak(args, graph: Graph) -> dict:
             refine_window_fraction=args.window, refine_samples=args.refine_samples
         )
     peak = peak_fidelity(dec, args.u, args.v, strategy)
+    sigma = _mirror_involution(args.graph, args.u, args.v)
     try:
-        res = k_threshold_two_class(graph, args.u, args.v, args.epsilon)
+        res = k_threshold_two_class(graph, args.u, args.v, args.epsilon, sigma)
     except ThresholdHypothesisError as exc:
         threshold, order = None, exc.cospectrality_order
-    except ValueError:  # raised before any walk was counted
-        threshold, order = None, cospectrality(graph, args.u, args.v).order
+    except ValueError:  # raised before the cospectrality order was taken
+        threshold, order = None, cospectrality(graph, args.u, args.v, involution=sigma).order
     else:
         threshold = {
             "epsilon": args.epsilon,
@@ -185,7 +210,8 @@ def _cmd_sweep(args, graph: Graph) -> dict | str:
     k_min_threshold = None
     if args.threshold or args.epsilon is not None:
         epsilon = args.epsilon if args.epsilon is not None else 0.1
-        k_min_threshold = k_threshold_two_class(graph, args.u, args.v, epsilon).k_min
+        sigma = _mirror_involution(args.graph, args.u, args.v)
+        k_min_threshold = k_threshold_two_class(graph, args.u, args.v, epsilon, sigma).k_min
     ks = np.linspace(args.kmin, args.kmax, args.steps).tolist()
     peaks = sweep_peaks(graph, args.u, args.v, ks, fallback)
     rows = []
@@ -205,7 +231,8 @@ def _cmd_sweep(args, graph: Graph) -> dict | str:
 
 
 def _cmd_bound(args, graph: Graph) -> dict:
-    res = k_threshold_two_class(graph, args.u, args.v, args.epsilon)
+    sigma = _mirror_involution(args.graph, args.u, args.v)
+    res = k_threshold_two_class(graph, args.u, args.v, args.epsilon, sigma)
     return {
         "epsilon": args.epsilon,
         "q_min": _json_number(res.q_min),
@@ -220,9 +247,6 @@ def _cmd_bound(args, graph: Graph) -> dict:
 
 
 def _cmd_analyze(args, graph: Graph) -> dict:
-    adjacency = eigendecompose(graph.adjacency_matrix(with_loops=False))
-    cos = cospectrality(graph, args.u, args.v, adjacency)
-    signs = sign_pattern(adjacency, args.u, args.v)
     involution = None
     searched = False
     if args.involution is not None:
@@ -237,6 +261,11 @@ def _cmd_analyze(args, graph: Graph) -> dict:
                 involution = list(found)
         except InvolutionSearchLimitError:
             pass
+    # an involution in hand proves the order; the closed form is the fallback candidate
+    sigma = involution or _mirror_involution(args.graph, args.u, args.v)
+    adjacency = eigendecompose(graph.adjacency_matrix(with_loops=False))
+    cos = cospectrality(graph, args.u, args.v, adjacency, sigma)
+    signs = sign_pattern(adjacency, args.u, args.v)
     divergence = None if cos.first_divergence is None else dataclasses.asdict(cos.first_divergence)
     return {
         "cospectrality_order": _json_number(cos.order),

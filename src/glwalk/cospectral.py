@@ -1,17 +1,26 @@
 """Cospectrality diagnostics: closed-walk counts, projector tests, involutions.
 
 The cospectrality order of a vertex pair is the largest m such that the
-closed-walk counts from u and v agree for every length <= m. Counts are
-compared exactly up to length n-1: (A^k)_uu and (A^k)_vv both obey the
-recurrence of A's minimal polynomial, of order <= n, so agreement at lengths
-0..n-1 forces agreement at every length and any divergence shows below n.
-Counts advance in int64 while the next length cannot overflow and in Python
-ints after that, so they are exact at every length and never out of range.
-An independent witness cross-checks the infinite verdict through the
-adjacency spectral projector diagonals.
+closed-walk counts from u and v agree for every length <= m. It is settled
+one of two ways:
+
+- Proved infinite by an involution. An automorphism sigma of the graph with
+  sigma(u) = v maps the closed walks from u one-to-one onto those from v, so
+  the counts agree at every length. A caller may offer a candidate sigma;
+  once verify_involution accepts it and sigma(u) = v, the order is infinite
+  with no walk counted and no eigendecomposition. A candidate that fails is
+  ignored.
+- Counted and cross-checked. Counts are compared exactly up to length n-1:
+  (A^k)_uu and (A^k)_vv both obey the recurrence of A's minimal polynomial,
+  of order <= n, so agreement at lengths 0..n-1 forces agreement at every
+  length and any divergence shows below n. Counts advance in int64 while
+  the next length cannot overflow and in Python ints after that, so they
+  are exact at every length and never out of range. An infinite count is
+  cross-checked through the adjacency spectral projector diagonals.
 
 Walk counts always use the unweighted adjacency structure; loop weights are
-a dynamical perturbation and do not count walks.
+a dynamical perturbation and do not count walks, so an involution need not
+preserve them to prove the order.
 """
 
 from __future__ import annotations
@@ -67,8 +76,8 @@ class WalkDivergence:
 class CospectralityResult:
     """order is a nonnegative int or INFINITE; finite order means counts first
     differ at length order + 1 (recorded in first_divergence). An infinite
-    order has passed the projector cross-check, so infinite also says the
-    pair is projector-cospectral."""
+    order was proved by a verified involution or has passed the projector
+    cross-check; either way the pair is projector-cospectral."""
 
     order: int | float
     first_divergence: WalkDivergence | None
@@ -85,7 +94,9 @@ def _closed_walks(g: Graph, vertices: list[int]) -> Iterator[list[int]]:
     # gathers itself; one gather and one reduceat advance it a length. It is
     # int64 while the next length cannot overflow (no entry of A @ state
     # exceeds max degree times the largest entry of state) and holds Python
-    # ints of any size from the first length that could.
+    # ints of any size from the first length that could. Entries of A^k are
+    # at most max_degree^k, so that test is skipped while the ceiling
+    # max_degree^(k+1) fits in int64 and cannot fire.
     nbrs = [row or (g.n,) for row in g.adjacency_list()] + [(g.n,)]
     sizes = np.array([len(row) for row in nbrs])
     neighbours = np.array([w for row in nbrs for w in row], dtype=np.intp)
@@ -96,11 +107,14 @@ def _closed_walks(g: Graph, vertices: list[int]) -> Iterator[list[int]]:
     max_degree = int(sizes.max())
     state = np.zeros(len(vertices) * (g.n + 1), dtype=np.int64)
     state[positions] = 1
+    ceiling = max_degree
     while True:
-        if state.dtype != object and max_degree * int(state.max()) > INT64_MAX:
+        if ceiling > INT64_MAX and state.dtype != object and max_degree * int(state.max()) > INT64_MAX:
             state = state.astype(object)
         np.add.reduceat(state[gather], starts, out=state)
         yield state[positions].tolist()
+        if ceiling <= INT64_MAX:
+            ceiling *= max_degree
 
 
 def closed_walk_counts(g: Graph, x: int, k_max: int) -> list[int]:
@@ -117,22 +131,34 @@ def closed_walk_counts(g: Graph, x: int, k_max: int) -> list[int]:
 
 
 def cospectrality(
-    g: Graph, u: int, v: int, adjacency: EigenDecomposition | None = None
+    g: Graph,
+    u: int,
+    v: int,
+    adjacency: EigenDecomposition | None = None,
+    involution=None,
 ) -> CospectralityResult:
-    """Cospectrality order of the pair with a projector cross-check.
+    """Cospectrality order of the pair, proved by an involution or counted.
 
-    Exact walk counts from u and v are compared in lockstep up to length n-1;
-    the first disagreement yields the finite order and the diverging counts.
-    Full agreement is certified as infinite after verifying
-    (P_r)_{uu} = (P_r)_{vv} on every adjacency spectral projector; a group
-    where they differ raises CospectralityMismatchError. adjacency is the
-    decomposition of g's loop-free adjacency matrix when the caller holds
-    it; otherwise the cross-check computes it.
+    involution is an optional candidate permutation of the vertices. When
+    verify_involution(g, involution) holds and involution[u] == v, the order
+    is infinite by proof and returns at once: no walk is counted and no
+    eigendecomposition runs. Any other permutation is ignored; a sequence
+    that is not a permutation of the vertices raises ValueError.
+
+    Otherwise exact walk counts from u and v are compared in lockstep up to
+    length n-1; the first disagreement yields the finite order and the
+    diverging counts. Full agreement is certified as infinite after
+    verifying (P_r)_{uu} = (P_r)_{vv} on every adjacency spectral projector;
+    a group where they differ raises CospectralityMismatchError. adjacency
+    is the decomposition of g's loop-free adjacency matrix when the caller
+    holds it; otherwise the cross-check computes it.
     """
     g.check_vertex(u)
     g.check_vertex(v)
     if u == v:
         raise ValueError("cospectrality needs two distinct vertices")
+    if involution is not None and verify_involution(g, involution) and involution[u] == v:
+        return CospectralityResult(order=INFINITE, first_divergence=None)
     for k, (cu, cv) in enumerate(islice(_closed_walks(g, [u, v]), g.n - 1), start=1):
         if cu != cv:
             divergence = WalkDivergence(length=k, count_u=cu, count_v=cv)

@@ -16,6 +16,7 @@ from glwalk import (
     cospectrality,
     to_edge_list,
     two_level_candidate_time,
+    verify_involution,
 )
 import glwalk.bounds
 import glwalk.cli
@@ -350,9 +351,13 @@ def test_analyze_path200_divergence(capsys) -> None:
         pytest.param("peak --graph cycle:800 --model adjacency --u 0 --v 5", id="peak-cycle800"),
     ],
 )
-def test_mirror_pairs_counted_past_128_bits_are_infinite(capsys, argv) -> None:
-    # counts to length n - 1 pass 2^128 (at length 132 on cycle:200 and cycle:800, 136 on path:200)
-    code, out, _ = run_cli(capsys, *argv.split())
+def test_mirror_pairs_counted_past_128_bits_are_infinite(capsys, tmp_path, argv) -> None:
+    # counts to length n - 1 pass 2^128 (at length 132 on cycle:200 and cycle:800, 136 on path:200).
+    # The graph goes in as an edge list, so the pair is counted, not proved by a closed-form involution.
+    command, _, graph, *flags = argv.split()
+    doc = tmp_path / "graph.txt"
+    doc.write_text(to_edge_list(glwalk.cli.parse_graph(graph)), encoding="utf-8")
+    code, out, _ = run_cli(capsys, command, "--graph", f"file:{doc}", *flags)
     assert code == 0
     assert json.loads(out)["cospectrality_order"] == "infinite"
 
@@ -397,9 +402,9 @@ def test_one_cospectrality_run_per_command(
         graph = f"file:{doc}"
     calls = []
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return cospectrality(*args)
+        return cospectrality(*args, **kwargs)
 
     monkeypatch.setattr(glwalk.cli, "cospectrality", counted)
     monkeypatch.setattr(glwalk.bounds, "cospectrality", counted)
@@ -417,6 +422,165 @@ def test_one_cospectrality_run_per_command(
         if code == 0:
             orders[argv[0]] = json.loads(out)["cospectrality_order"]
     assert orders["peak"] == orders["analyze"]
+
+
+def _named_mirror_pairs():
+    """Every mirror pair of path:2-40, ordered pair of cycle:3-40 and same-side pair of bipartite:a,b."""
+    for n in range(2, 41):
+        yield from ((f"path:{n}", u, n - 1 - u) for u in range(n) if 2 * u != n - 1)
+    for n in range(3, 41):
+        yield from ((f"cycle:{n}", u, v) for u in range(n) for v in range(n) if u != v)
+    for a in range(1, 7):
+        for b in range(1, 9):
+            for side in (range(a), range(a, a + b)):
+                yield from ((f"bipartite:{a},{b}", u, v) for u in side for v in side if u != v)
+
+
+def _no_adjacency_eigh(*args, **kwargs):
+    raise AssertionError("the adjacency matrix was decomposed")
+
+
+def test_closed_form_involutions_prove_every_mirror_pair(monkeypatch) -> None:
+    monkeypatch.setattr(glwalk.cospectral, "_closed_walks", _fail_if_called)
+    monkeypatch.setattr(glwalk.cospectral, "eigendecompose", _no_adjacency_eigh)
+    graphs = {}
+    for text, u, v in _named_mirror_pairs():
+        if text not in graphs:
+            graphs[text] = glwalk.cli.parse_graph(text)
+        g = graphs[text]
+        sigma = glwalk.cli._mirror_involution(text, u, v)
+        assert sigma is not None and sigma[u] == v and verify_involution(g, sigma), (text, u, v)
+        assert cospectrality(g, u, v, involution=sigma).infinite, (text, u, v)
+
+
+def test_closed_form_involution_only_for_mirror_pairs() -> None:
+    assert glwalk.cli._mirror_involution("path:6", 0, 4) is None
+    assert glwalk.cli._mirror_involution("bipartite:2,4", 0, 2) is None
+    assert glwalk.cli._mirror_involution("file:path6.txt", 0, 5) is None
+    assert glwalk.cli._mirror_involution("cycle:5", 1, 2) == (3, 2, 1, 0, 4)
+
+
+def _draw_named_pair(rng: np.random.Generator) -> tuple[str, int, int]:
+    """A named graph and two distinct vertices, a mirror pair about three times in four.
+
+    Path endpoints and the 2-side of bipartite:2,b, the pairs with two degree
+    classes that bound and sweep --epsilon take, come up about one time in six.
+    """
+    kind = ("path", "cycle", "bipartite")[int(rng.integers(3))]
+    if kind == "bipartite":
+        a = int(rng.integers(1, 7)) if rng.random() < 0.5 else 2
+        b = int(rng.integers(1, 9))
+        text, n = f"bipartite:{a},{b}", a + b
+    else:
+        n = int(rng.integers(3, 31))
+        text = f"{kind}:{n}"
+    u, v = (int(x) for x in rng.choice(n, size=2, replace=False))
+    if rng.random() < 0.75:
+        if kind == "path":
+            u = 0 if rng.random() < 0.5 else u
+            v = n - 1 - u if 2 * u != n - 1 else v
+        elif kind == "bipartite":
+            side = range(a) if u < a else range(a, a + b)
+            if len(side) > 1:
+                v = int(rng.choice([x for x in side if x != u]))
+    return text, u, v
+
+
+def test_named_graphs_match_their_edge_lists(capsys, monkeypatch, tmp_path) -> None:
+    # a named mirror pair takes the involution route, the same graph as file: the counted one
+    walk_runs = []
+
+    def counted_walks(*args):
+        walk_runs.append(args)
+        return closed_walks(*args)
+
+    closed_walks = glwalk.cospectral._closed_walks
+    monkeypatch.setattr(glwalk.cospectral, "_closed_walks", counted_walks)
+    rng = np.random.default_rng(1717)
+    file_walk_runs = proved_thresholds = 0
+    for case in range(24):
+        text, u, v = _draw_named_pair(rng)
+        doc = tmp_path / f"graph{case}.txt"
+        doc.write_text(to_edge_list(glwalk.cli.parse_graph(text)), encoding="utf-8")
+        k = float(rng.uniform(-3.0, 3.0))
+        for argv in (
+            ["peak", "--model", f"generalized:{k!r}"],
+            ["bound", "--epsilon", "0.1"],
+            ["sweep", "--kmin", repr(k), "--kmax", repr(k + 1.0), "--steps", "3", "--epsilon", "0.1"],
+            ["analyze"],
+        ):
+            pair = ["--u", str(u), "--v", str(v)]
+            walk_runs.clear()
+            named = run_cli(capsys, *argv, "--graph", text, *pair)
+            if glwalk.cli._mirror_involution(text, u, v) is not None:
+                assert walk_runs == [], (argv[0], text, u, v)
+                proved_thresholds += argv[0] == "bound" and named[0] == 0
+            walk_runs.clear()
+            listed = run_cli(capsys, *argv, "--graph", f"file:{doc}", *pair)
+            file_walk_runs += len(walk_runs)
+            renamed = listed[1].replace(json.dumps(f"file:{doc}"), json.dumps(text), 1)
+            assert (named[0], named[1], named[2]) == (listed[0], renamed, listed[2]), (argv[0], text, u, v)
+    assert file_walk_runs >= 20 and proved_thresholds >= 3
+
+
+@pytest.mark.parametrize(
+    "argv, decompositions",
+    [
+        pytest.param("peak --graph path:60 --model generalized:0.5 --u 6 --v 53", 1, id="peak-path60"),
+        pytest.param("peak --graph cycle:60 --model generalized:-0.5 --u 4 --v 51", 1, id="peak-cycle60"),
+        pytest.param("bound --graph path:60 --u 0 --v 59 --epsilon 0.1", 0, id="bound-path60"),
+        pytest.param("bound --graph bipartite:2,8 --u 0 --v 1 --epsilon 0.1", 0, id="bound-bipartite"),
+        pytest.param(
+            "sweep --graph path:60 --u 0 --v 59 --kmin 1 --kmax 2 --steps 2 --epsilon 0.1", 0, id="sweep-path60"
+        ),
+        pytest.param(
+            "sweep --graph bipartite:2,8 --u 0 --v 1 --kmin 1 --kmax 2 --steps 2 --epsilon 0.1", 0,
+            id="sweep-bipartite",
+        ),
+        pytest.param("analyze --graph path:60 --u 6 --v 53", 1, id="analyze-path60"),
+        pytest.param("analyze --graph cycle:60 --u 4 --v 51", 1, id="analyze-cycle60"),
+        pytest.param("analyze --graph bipartite:2,8 --u 0 --v 1", 1, id="analyze-bipartite"),
+    ],
+)
+def test_mirror_pairs_count_no_walks(capsys, monkeypatch, argv, decompositions) -> None:
+    # peak decomposes only H, analyze only the adjacency matrix its sign pattern reads, and
+    # bound and sweep decompose no adjacency matrix; none of them counts a walk
+    calls = []
+
+    def counted(h):
+        calls.append(h)
+        return eigendecompose(h)
+
+    monkeypatch.setattr(glwalk.cli, "eigendecompose", counted)
+    monkeypatch.setattr(glwalk.cospectral, "eigendecompose", _no_adjacency_eigh)
+    monkeypatch.setattr(glwalk.cospectral, "_closed_walks", _fail_if_called)
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert len(calls) == decompositions
+    if not argv.startswith("sweep"):
+        assert json.loads(out)["cospectrality_order"] == "infinite"
+
+
+def test_edge_list_mirror_pair_is_counted_and_cross_checked(capsys, monkeypatch, tmp_path) -> None:
+    doc = tmp_path / "path60.txt"
+    doc.write_text(to_edge_list(path_graph(60)), encoding="utf-8")
+    walk_runs, adjacency_runs = [], []
+
+    def counted_walks(*args):
+        walk_runs.append(args)
+        return closed_walks(*args)
+
+    def counted_eigh(h):
+        adjacency_runs.append(h)
+        return eigendecompose(h)
+
+    closed_walks = glwalk.cospectral._closed_walks
+    monkeypatch.setattr(glwalk.cospectral, "_closed_walks", counted_walks)
+    monkeypatch.setattr(glwalk.cospectral, "eigendecompose", counted_eigh)
+    code, out, _ = run_cli(capsys, "bound", "--graph", f"file:{doc}", "--u", "0", "--v", "59", "--epsilon", "0.1")
+    assert code == 0
+    assert json.loads(out)["cospectrality_order"] == "infinite"
+    assert len(walk_runs) == 1 and len(adjacency_runs) == 1
 
 
 def test_analyze_bipartite(capsys) -> None:
@@ -496,7 +660,7 @@ def _skewed_pair_diagonals(dec, u, v):
             id="degenerate-gap",
         ),
         pytest.param(
-            "bound --graph path:6 --u 0 --v 5 --epsilon 0.1",
+            "bound --graph file:path6.txt --u 0 --v 5 --epsilon 0.1",
             (glwalk.cospectral, "pair_diagonals", _skewed_pair_diagonals), "cospectrality-mismatch", 3,
             id="cospectrality-mismatch",
         ),
@@ -514,6 +678,8 @@ def _skewed_pair_diagonals(dec, u, v):
 def test_error_table_through_main(capsys, monkeypatch, tmp_path, argv, patch, kind, exit_code) -> None:
     monkeypatch.chdir(tmp_path)
     (tmp_path / "edgeless.txt").write_text("n=3\n", encoding="utf-8")
+    # path:6 as an edge list: its endpoints are counted and cross-checked, not proved by an involution
+    (tmp_path / "path6.txt").write_text(to_edge_list(path_graph(6)), encoding="utf-8")
     if patch is not None:
         monkeypatch.setattr(*patch)
     code, out, err = run_cli(capsys, *argv.split())
@@ -567,14 +733,18 @@ def test_missing_graph_file_is_io_error(capsys, tmp_path) -> None:
 @pytest.mark.parametrize(
     "argv",
     [
-        ["analyze"],
+        # a supplied involution that fails verification, in place of the search that finds the reversal
+        ["analyze", "--involution", "1,0,2,3,4,5"],
         ["bound", "--epsilon", "0.1"],
         ["peak", "--model", "generalized:143"],
     ],
     ids=["analyze", "bound", "peak"],
 )
-def test_projector_cross_check_mismatch_is_numeric_error(capsys, monkeypatch, argv) -> None:
-    # walk counts call path:6 endpoints cospectral; make every projector diagonal disagree
+def test_projector_cross_check_mismatch_is_numeric_error(capsys, monkeypatch, tmp_path, argv) -> None:
+    # walk counts call path:6 endpoints cospectral; make every projector diagonal disagree.
+    # The path is given as an edge list, since the named path:6 proves the pair by its reversal.
+    doc = tmp_path / "path6.txt"
+    doc.write_text(to_edge_list(path_graph(6)), encoding="utf-8")
     real = glwalk.cospectral.pair_diagonals
 
     def skewed(dec, u, v):
@@ -583,7 +753,7 @@ def test_projector_cross_check_mismatch_is_numeric_error(capsys, monkeypatch, ar
         return diagonals
 
     monkeypatch.setattr(glwalk.cospectral, "pair_diagonals", skewed)
-    code, out, err = run_cli(capsys, *argv, "--graph", "path:6", "--u", "0", "--v", "5")
+    code, out, err = run_cli(capsys, *argv, "--graph", f"file:{doc}", "--u", "0", "--v", "5")
     assert code == 3
     assert out == ""
     error = json.loads(err)["error"]

@@ -24,6 +24,7 @@ from glwalk import (
     sign_pattern,
     verify_involution,
 )
+import glwalk.cospectral
 from glwalk.cospectral import INT64_MAX, PROJECTOR_DIAG_TOL, parse_permutation
 from glwalk.spectral import group_eigenvalues
 from oracles import projector_matrices, walk_count_oracle
@@ -311,6 +312,47 @@ def test_involution_implies_infinite_implies_sign_property() -> None:
             if all(rank == 1 for rank in _adjacency_dec(g).group_sizes):
                 assert sign_pattern(_adjacency_dec(g), u, v).consistent
     assert found >= 10  # the implication chain must not be vacuous
+
+
+def test_failed_involution_candidates_fall_back_to_counting() -> None:
+    # a candidate that is no automorphism, or an automorphism that does not map u to v, proves
+    # nothing: the order and divergence are the counted ones
+    rng = np.random.default_rng(97)
+    non_automorphisms = misses = 0
+    for _ in range(60):
+        g = structured_graph(rng, n_max=10) if rng.random() < 0.5 else random_graph(
+            rng, n_max=10, allow_loops=False
+        )
+        u, v = mirror_pair(g, rng)
+        counted = cospectrality(g, u, v)
+        swap = list(range(g.n))
+        swap[u], swap[v] = v, u
+        for sigma in (swap, tuple(range(g.n)), tuple(range(g.n - 1, -1, -1))):
+            if verify_involution(g, sigma):
+                if sigma[u] == v:
+                    continue
+                misses += 1
+            else:
+                non_automorphisms += 1
+            assert cospectrality(g, u, v, involution=sigma) == counted
+    assert non_automorphisms >= 20 and misses >= 20
+
+
+def test_verified_involution_proves_the_order_without_counting(monkeypatch) -> None:
+    # loop weights do not count walks, so an involution need not preserve them
+    g = Graph(n=6, edges=path_graph(6).edges, loop_weights={0: 5.0})
+    reversal = (5, 4, 3, 2, 1, 0)
+    assert cospectrality(g, 0, 5).infinite
+
+    def fail(*args, **kwargs):
+        raise AssertionError("walks were counted or the adjacency matrix decomposed")
+
+    monkeypatch.setattr(glwalk.cospectral, "_closed_walks", fail)
+    monkeypatch.setattr(glwalk.cospectral, "eigendecompose", fail)
+    assert cospectrality(g, 0, 5, involution=reversal) == cospectrality(g, 5, 0, involution=reversal)
+    assert cospectrality(g, 0, 5, involution=reversal).infinite
+    with pytest.raises(ValueError):
+        cospectrality(g, 0, 5, involution=(5, 4, 3, 2, 1, 1))
 
 
 def test_closed_two_walks_equal_degree() -> None:

@@ -184,6 +184,17 @@ EXTRA = [
     "fidelity --graph path:4 --model adjacency --u 0 --v 3 --tmax 1e-300 --samples 300",
     "fidelity --graph path:4 --model adjacency --u 0 --v 3 --tmax 1e-200 --samples 300",
     "fidelity --graph path:4 --model adjacency --u 0 --v 3 --tmax 3e17 --samples 300",
+    # mirror pairs above the n <= 16 involution search, proved by closed-form involutions
+    # (a failed --involution falls back to the closed form)
+    "analyze --graph cycle:40 --u 3 --v 17",
+    "analyze --graph bipartite:20,30 --u 25 --v 40",
+    "analyze --graph path:20 --u 6 --v 13 --involution " + ",".join(map(str, range(19, -1, -1))),
+    "analyze --graph path:20 --u 6 --v 13 --involution 1,0," + ",".join(map(str, range(2, 20))),
+    "bound --graph bipartite:3,7 --u 0 --v 2 --epsilon 0.1",
+    "bound --graph bipartite:2,30 --u 0 --v 1 --epsilon 0.05",
+    "peak --graph path:60 --model generalized:0.5 --u 6 --v 53",
+    "peak --graph cycle:60 --model generalized:-0.5 --u 4 --v 51",
+    "sweep --graph bipartite:2,20 --u 0 --v 1 --kmin 30 --kmax 60 --steps 3 --epsilon 0.1",
 ]
 
 
