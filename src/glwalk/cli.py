@@ -4,9 +4,11 @@ Subcommands: fidelity | peak | sweep | bound | analyze. Output is CSV or
 JSON (schema_version 1, fixed key order); identical flags always produce
 byte-identical output. Each subcommand's handler returns its report: the
 JSON fields after u and v, or CSV text. main parses the graph, checks the
-vertex pair, adds the JSON header, writes to --out or stdout, and maps each
-failure to a single-line JSON error object on stderr and exit code 2
-(usage, validation), 3 (numeric), or 4 (I/O).
+vertex pair, hands a named graph's mirror candidates (the involutions that
+may prove the pair cospectral) to the handler with it, adds the JSON
+header, writes to --out or stdout, and maps each failure to a single-line
+JSON error object on stderr and exit code 2 (usage, validation),
+3 (numeric), or 4 (I/O).
 """
 
 from __future__ import annotations
@@ -86,28 +88,18 @@ def parse_graph(text: str) -> Graph:
     raise UsageError(f"unknown graph kind {kind!r}")
 
 
-def _mirror_involution(text: str, u: int, v: int) -> tuple[int, ...] | None:
-    """Closed-form involution swapping u and v on a named graph, or None.
+def _mirror_candidates(n: int, u: int, v: int) -> tuple[tuple[int, ...], ...]:
+    """The reflection x -> (u + v - x) mod n and the transposition (u v).
 
-    text is a --graph flag that parse_graph accepted. path:n with
-    u + v = n - 1 reverses the path, cycle:n reflects x to (u + v - x) mod n,
-    and bipartite:a,b with u and v on one side transposes them; other pairs
-    and file: graphs get None. The result is only a candidate: cospectrality
-    verifies it before it proves anything.
+    parse_graph numbers a named graph's vertices so that one of the two swaps
+    each mirror pair: the reflection swaps a path's pairs with u + v = n - 1
+    and every pair of a cycle, the transposition two vertices on one side of
+    a complete bipartite graph. They are only candidates: cospectrality
+    uses one only once verify_involution accepts it.
     """
-    kind, _, rest = text.partition(":")
-    if kind == "path" and u + v == int(rest) - 1:
-        return tuple(range(u + v, -1, -1))
-    if kind == "cycle":
-        n = int(rest)
-        return tuple((u + v - x) % n for x in range(n))
-    if kind == "bipartite":
-        a, b = (int(part) for part in rest.split(","))
-        if (u < a) == (v < a):
-            sigma = list(range(a + b))
-            sigma[u], sigma[v] = v, u
-            return tuple(sigma)
-    return None
+    transposition = list(range(n))
+    transposition[u], transposition[v] = v, u
+    return tuple((u + v - x) % n for x in range(n)), tuple(transposition)
 
 
 def _json_number(value: int | float):
@@ -151,7 +143,7 @@ def _decompose(graph: Graph, model: Model):
     return eigendecompose(hamiltonian_matrix(model, graph))
 
 
-def _cmd_fidelity(args, graph: Graph) -> dict | str:
+def _cmd_fidelity(args, graph: Graph, mirrors: tuple[tuple[int, ...], ...]) -> dict | str:
     dec = _decompose(graph, parse_model(args.model))
     curve = fidelity_curve(dec, args.u, args.v, args.tmax, args.samples)
     if args.json:
@@ -162,7 +154,7 @@ def _cmd_fidelity(args, graph: Graph) -> dict | str:
     return _csv(("t", "probability"), curve.times, curve.probabilities)
 
 
-def _cmd_peak(args, graph: Graph) -> dict:
+def _cmd_peak(args, graph: Graph, mirrors: tuple[tuple[int, ...], ...]) -> dict:
     dec = _decompose(graph, parse_model(args.model))
     if args.strategy == "grid":
         strategy = GridSearch(t_max=args.tmax, samples=args.samples)
@@ -171,13 +163,12 @@ def _cmd_peak(args, graph: Graph) -> dict:
             refine_window_fraction=args.window, refine_samples=args.refine_samples
         )
     peak = peak_fidelity(dec, args.u, args.v, strategy)
-    sigma = _mirror_involution(args.graph, args.u, args.v)
     try:
-        res = k_threshold_two_class(graph, args.u, args.v, args.epsilon, sigma)
+        res = k_threshold_two_class(graph, args.u, args.v, args.epsilon, mirrors)
     except ThresholdHypothesisError as exc:
         threshold, order = None, exc.cospectrality_order
     except ValueError:  # raised before the cospectrality order was taken
-        threshold, order = None, cospectrality(graph, args.u, args.v, involution=sigma).order
+        threshold, order = None, cospectrality(graph, args.u, args.v, involutions=mirrors).order
     else:
         threshold = {
             "epsilon": args.epsilon,
@@ -201,7 +192,7 @@ def _cmd_peak(args, graph: Graph) -> dict:
     }
 
 
-def _cmd_sweep(args, graph: Graph) -> dict | str:
+def _cmd_sweep(args, graph: Graph, mirrors: tuple[tuple[int, ...], ...]) -> dict | str:
     if args.steps < 1:
         raise UsageError("--steps must be at least 1")
     if not (math.isfinite(args.kmin) and math.isfinite(args.kmax)):
@@ -210,8 +201,7 @@ def _cmd_sweep(args, graph: Graph) -> dict | str:
     k_min_threshold = None
     if args.threshold or args.epsilon is not None:
         epsilon = args.epsilon if args.epsilon is not None else 0.1
-        sigma = _mirror_involution(args.graph, args.u, args.v)
-        k_min_threshold = k_threshold_two_class(graph, args.u, args.v, epsilon, sigma).k_min
+        k_min_threshold = k_threshold_two_class(graph, args.u, args.v, epsilon, mirrors).k_min
     ks = np.linspace(args.kmin, args.kmax, args.steps).tolist()
     peaks = sweep_peaks(graph, args.u, args.v, ks, fallback)
     rows = []
@@ -230,9 +220,8 @@ def _cmd_sweep(args, graph: Graph) -> dict | str:
     return _csv(columns, *([row[c] for row in rows] for c in columns))
 
 
-def _cmd_bound(args, graph: Graph) -> dict:
-    sigma = _mirror_involution(args.graph, args.u, args.v)
-    res = k_threshold_two_class(graph, args.u, args.v, args.epsilon, sigma)
+def _cmd_bound(args, graph: Graph, mirrors: tuple[tuple[int, ...], ...]) -> dict:
+    res = k_threshold_two_class(graph, args.u, args.v, args.epsilon, mirrors)
     return {
         "epsilon": args.epsilon,
         "q_min": _json_number(res.q_min),
@@ -246,7 +235,7 @@ def _cmd_bound(args, graph: Graph) -> dict:
     }
 
 
-def _cmd_analyze(args, graph: Graph) -> dict:
+def _cmd_analyze(args, graph: Graph, mirrors: tuple[tuple[int, ...], ...]) -> dict:
     involution = None
     searched = False
     if args.involution is not None:
@@ -261,10 +250,10 @@ def _cmd_analyze(args, graph: Graph) -> dict:
                 involution = list(found)
         except InvolutionSearchLimitError:
             pass
-    # an involution in hand proves the order; the closed form is the fallback candidate
-    sigma = involution or _mirror_involution(args.graph, args.u, args.v)
+    # an involution in hand proves the order; the mirror candidates are the fallback
+    candidates = mirrors if involution is None else (involution, *mirrors)
     adjacency = eigendecompose(graph.adjacency_matrix(with_loops=False))
-    cos = cospectrality(graph, args.u, args.v, adjacency, sigma)
+    cos = cospectrality(graph, args.u, args.v, adjacency, candidates)
     signs = sign_pattern(adjacency, args.u, args.v)
     divergence = None if cos.first_divergence is None else dataclasses.asdict(cos.first_divergence)
     return {
@@ -345,7 +334,9 @@ def _report(args) -> str:
     graph.check_vertex(args.v)
     if args.command != "fidelity" and args.u == args.v:
         raise UsageError("--u and --v must name distinct vertices")
-    body = args.handler(args, graph)
+    # an edge list is counted and cross-checked; a named graph offers its mirror candidates
+    mirrors = () if args.graph.startswith("file:") else _mirror_candidates(graph.n, args.u, args.v)
+    body = args.handler(args, graph, mirrors)
     if isinstance(body, str):
         return body
     header = {"schema_version": SCHEMA_VERSION, "graph": args.graph}

@@ -6,10 +6,10 @@ one of two ways:
 
 - Proved infinite by an involution. An automorphism sigma of the graph with
   sigma(u) = v maps the closed walks from u one-to-one onto those from v, so
-  the counts agree at every length. A caller may offer a candidate sigma;
-  once verify_involution accepts it and sigma(u) = v, the order is infinite
-  with no walk counted and no eigendecomposition. A candidate that fails is
-  ignored.
+  the counts agree at every length. A caller may offer candidates for
+  sigma; once verify_involution accepts one with sigma(u) = v, the order
+  is infinite with no walk counted and no eigendecomposition. Candidates
+  that fail are ignored.
 - Counted and cross-checked. Counts are compared exactly up to length n-1:
   (A^k)_uu and (A^k)_vv both obey the recurrence of A's minimal polynomial,
   of order <= n, so agreement at lengths 0..n-1 forces agreement at every
@@ -26,7 +26,7 @@ preserve them to prove the order.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
@@ -94,9 +94,7 @@ def _closed_walks(g: Graph, vertices: list[int]) -> Iterator[list[int]]:
     # gathers itself; one gather and one reduceat advance it a length. It is
     # int64 while the next length cannot overflow (no entry of A @ state
     # exceeds max degree times the largest entry of state) and holds Python
-    # ints of any size from the first length that could. Entries of A^k are
-    # at most max_degree^k, so that test is skipped while the ceiling
-    # max_degree^(k+1) fits in int64 and cannot fire.
+    # ints of any size from the first length that could.
     nbrs = [row or (g.n,) for row in g.adjacency_list()] + [(g.n,)]
     sizes = np.array([len(row) for row in nbrs])
     neighbours = np.array([w for row in nbrs for w in row], dtype=np.intp)
@@ -107,14 +105,11 @@ def _closed_walks(g: Graph, vertices: list[int]) -> Iterator[list[int]]:
     max_degree = int(sizes.max())
     state = np.zeros(len(vertices) * (g.n + 1), dtype=np.int64)
     state[positions] = 1
-    ceiling = max_degree
     while True:
-        if ceiling > INT64_MAX and state.dtype != object and max_degree * int(state.max()) > INT64_MAX:
+        if state.dtype != object and max_degree * int(state.max()) > INT64_MAX:
             state = state.astype(object)
         np.add.reduceat(state[gather], starts, out=state)
         yield state[positions].tolist()
-        if ceiling <= INT64_MAX:
-            ceiling *= max_degree
 
 
 def closed_walk_counts(g: Graph, x: int, k_max: int) -> list[int]:
@@ -135,15 +130,16 @@ def cospectrality(
     u: int,
     v: int,
     adjacency: EigenDecomposition | None = None,
-    involution=None,
+    involutions: Iterable[Sequence[int]] = (),
 ) -> CospectralityResult:
     """Cospectrality order of the pair, proved by an involution or counted.
 
-    involution is an optional candidate permutation of the vertices. When
-    verify_involution(g, involution) holds and involution[u] == v, the order
-    is infinite by proof and returns at once: no walk is counted and no
-    eigendecomposition runs. Any other permutation is ignored; a sequence
-    that is not a permutation of the vertices raises ValueError.
+    involutions holds candidate permutations of the vertices, tried in
+    order. Once verify_involution(g, sigma) holds for one with
+    sigma[u] == v, the order is infinite by proof and returns at once: no
+    walk is counted and no eigendecomposition runs. Every other permutation
+    is ignored; a sequence that is not a permutation of the vertices raises
+    ValueError.
 
     Otherwise exact walk counts from u and v are compared in lockstep up to
     length n-1; the first disagreement yields the finite order and the
@@ -157,7 +153,7 @@ def cospectrality(
     g.check_vertex(v)
     if u == v:
         raise ValueError("cospectrality needs two distinct vertices")
-    if involution is not None and verify_involution(g, involution) and involution[u] == v:
+    if any(verify_involution(g, sigma) and sigma[u] == v for sigma in involutions):
         return CospectralityResult(order=INFINITE, first_divergence=None)
     for k, (cu, cv) in enumerate(islice(_closed_walks(g, [u, v]), g.n - 1), start=1):
         if cu != cv:

@@ -448,16 +448,15 @@ def test_closed_form_involutions_prove_every_mirror_pair(monkeypatch) -> None:
         if text not in graphs:
             graphs[text] = glwalk.cli.parse_graph(text)
         g = graphs[text]
-        sigma = glwalk.cli._mirror_involution(text, u, v)
-        assert sigma is not None and sigma[u] == v and verify_involution(g, sigma), (text, u, v)
-        assert cospectrality(g, u, v, involution=sigma).infinite, (text, u, v)
+        mirrors = glwalk.cli._mirror_candidates(g.n, u, v)
+        assert any(verify_involution(g, s) and s[u] == v for s in mirrors), (text, u, v)
+        assert cospectrality(g, u, v, involutions=mirrors).infinite, (text, u, v)
 
 
-def test_closed_form_involution_only_for_mirror_pairs() -> None:
-    assert glwalk.cli._mirror_involution("path:6", 0, 4) is None
-    assert glwalk.cli._mirror_involution("bipartite:2,4", 0, 2) is None
-    assert glwalk.cli._mirror_involution("file:path6.txt", 0, 5) is None
-    assert glwalk.cli._mirror_involution("cycle:5", 1, 2) == (3, 2, 1, 0, 4)
+@pytest.mark.parametrize("text, u, v", [("path:6", 0, 4), ("path:7", 2, 3), ("bipartite:2,4", 0, 2)])
+def test_mirror_candidates_fail_off_mirror_pairs(text, u, v) -> None:
+    g = glwalk.cli.parse_graph(text)
+    assert not any(verify_involution(g, s) for s in glwalk.cli._mirror_candidates(g.n, u, v))
 
 
 def _draw_named_pair(rng: np.random.Generator) -> tuple[str, int, int]:
@@ -501,7 +500,9 @@ def test_named_graphs_match_their_edge_lists(capsys, monkeypatch, tmp_path) -> N
     for case in range(24):
         text, u, v = _draw_named_pair(rng)
         doc = tmp_path / f"graph{case}.txt"
-        doc.write_text(to_edge_list(glwalk.cli.parse_graph(text)), encoding="utf-8")
+        g = glwalk.cli.parse_graph(text)
+        doc.write_text(to_edge_list(g), encoding="utf-8")
+        mirrored = any(verify_involution(g, s) for s in glwalk.cli._mirror_candidates(g.n, u, v))
         k = float(rng.uniform(-3.0, 3.0))
         for argv in (
             ["peak", "--model", f"generalized:{k!r}"],
@@ -512,7 +513,7 @@ def test_named_graphs_match_their_edge_lists(capsys, monkeypatch, tmp_path) -> N
             pair = ["--u", str(u), "--v", str(v)]
             walk_runs.clear()
             named = run_cli(capsys, *argv, "--graph", text, *pair)
-            if glwalk.cli._mirror_involution(text, u, v) is not None:
+            if mirrored:
                 assert walk_runs == [], (argv[0], text, u, v)
                 proved_thresholds += argv[0] == "bound" and named[0] == 0
             walk_runs.clear()

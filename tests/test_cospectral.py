@@ -327,6 +327,7 @@ def test_failed_involution_candidates_fall_back_to_counting() -> None:
         counted = cospectrality(g, u, v)
         swap = list(range(g.n))
         swap[u], swap[v] = v, u
+        failed = []
         for sigma in (swap, tuple(range(g.n)), tuple(range(g.n - 1, -1, -1))):
             if verify_involution(g, sigma):
                 if sigma[u] == v:
@@ -334,7 +335,9 @@ def test_failed_involution_candidates_fall_back_to_counting() -> None:
                 misses += 1
             else:
                 non_automorphisms += 1
-            assert cospectrality(g, u, v, involution=sigma) == counted
+            assert cospectrality(g, u, v, involutions=[sigma]) == counted
+            failed.append(sigma)
+        assert cospectrality(g, u, v, involutions=failed) == counted
     assert non_automorphisms >= 20 and misses >= 20
 
 
@@ -349,10 +352,12 @@ def test_verified_involution_proves_the_order_without_counting(monkeypatch) -> N
 
     monkeypatch.setattr(glwalk.cospectral, "_closed_walks", fail)
     monkeypatch.setattr(glwalk.cospectral, "eigendecompose", fail)
-    assert cospectrality(g, 0, 5, involution=reversal) == cospectrality(g, 5, 0, involution=reversal)
-    assert cospectrality(g, 0, 5, involution=reversal).infinite
+    assert cospectrality(g, 0, 5, involutions=[reversal]) == cospectrality(g, 5, 0, involutions=[reversal])
+    assert cospectrality(g, 0, 5, involutions=[reversal]).infinite
+    # a candidate that fails is skipped and the next one is tried
+    assert cospectrality(g, 0, 5, involutions=[tuple(range(6)), reversal]).infinite
     with pytest.raises(ValueError):
-        cospectrality(g, 0, 5, involution=(5, 4, 3, 2, 1, 1))
+        cospectrality(g, 0, 5, involutions=[(5, 4, 3, 2, 1, 1)])
 
 
 def test_closed_two_walks_equal_degree() -> None:

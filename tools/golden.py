@@ -184,8 +184,9 @@ EXTRA = [
     "fidelity --graph path:4 --model adjacency --u 0 --v 3 --tmax 1e-300 --samples 300",
     "fidelity --graph path:4 --model adjacency --u 0 --v 3 --tmax 1e-200 --samples 300",
     "fidelity --graph path:4 --model adjacency --u 0 --v 3 --tmax 3e17 --samples 300",
-    # mirror pairs above the n <= 16 involution search, proved by closed-form involutions
-    # (a failed --involution falls back to the closed form)
+    # mirror pairs above the n <= 16 involution search, proved by the reflection or the
+    # transposition the CLI offers (a failed --involution falls back to them); the last
+    # two pairs are swapped by the reflection across the sides of K_{10,10} and by neither
     "analyze --graph cycle:40 --u 3 --v 17",
     "analyze --graph bipartite:20,30 --u 25 --v 40",
     "analyze --graph path:20 --u 6 --v 13 --involution " + ",".join(map(str, range(19, -1, -1))),
@@ -195,6 +196,8 @@ EXTRA = [
     "peak --graph path:60 --model generalized:0.5 --u 6 --v 53",
     "peak --graph cycle:60 --model generalized:-0.5 --u 4 --v 51",
     "sweep --graph bipartite:2,20 --u 0 --v 1 --kmin 30 --kmax 60 --steps 3 --epsilon 0.1",
+    "analyze --graph bipartite:10,10 --u 0 --v 19",
+    "analyze --graph bipartite:10,10 --u 0 --v 18",
 ]
 
 
