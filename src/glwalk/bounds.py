@@ -17,7 +17,6 @@ smaller working parameters.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
 
 from .cospectral import cospectrality
@@ -100,9 +99,7 @@ def q_threshold(inp: ThresholdInput) -> ThresholdResult:
     )
 
 
-def k_threshold_two_class(
-    graph: Graph, u: int, v: int, epsilon: float, involutions: Iterable[Sequence[int]] = ()
-) -> ThresholdResult:
+def k_threshold_two_class(graph: Graph, u: int, v: int, epsilon: float) -> ThresholdResult:
     """Generalized-model threshold for a graph with two degree classes.
 
     The loop-weight reduction maps the degree-scaling coefficient k to the
@@ -111,10 +108,9 @@ def k_threshold_two_class(
     computed from the graph, the cospectrality order last, so every other
     input error is raised before it; a cospectrality order below the
     distance raises ThresholdHypothesisError, which carries the order.
-    involutions holds candidate automorphisms passed to cospectrality: once
-    one is verified with sigma[u] == v it proves the order infinite, so no
-    walk is counted and no adjacency matrix is decomposed; otherwise the
-    order is counted and cross-checked.
+    cospectrality proves the order of a mirror pair by its reflection or
+    transposition, with no walk counted and no adjacency matrix decomposed;
+    any other pair is counted and cross-checked.
     """
     q_unit = reduced_model(graph, u, v, 1.0).q
     distance = graph.distance(u, v)
@@ -126,6 +122,6 @@ def k_threshold_two_class(
         cospectrality_order=math.inf,
         distance=int(distance),
     )
-    order = cospectrality(graph, u, v, involutions=involutions).order
+    order = cospectrality(graph, u, v).order
     base = q_threshold(replace(inp, cospectrality_order=order))
     return replace(base, k_min=base.q_min / abs(q_unit))

@@ -4,11 +4,11 @@ Subcommands: fidelity | peak | sweep | bound | analyze. Output is CSV or
 JSON (schema_version 1, fixed key order); identical flags always produce
 byte-identical output. Each subcommand's handler returns its report: the
 JSON fields after u and v, or CSV text. main parses the graph, checks the
-vertex pair, hands a named graph's mirror candidates (the involutions that
-may prove the pair cospectral) to the handler with it, adds the JSON
-header, writes to --out or stdout, and maps each failure to a single-line
-JSON error object on stderr and exit code 2 (usage, validation),
-3 (numeric), or 4 (I/O).
+vertex pair, hands the graph to the handler, adds the JSON header, writes
+to --out or stdout, and maps each failure to a single-line JSON error
+object on stderr and exit code 2 (usage, validation), 3 (numeric), or
+4 (I/O). A named graph and its edge list take the same cospectrality
+route: glwalk.cospectral decides which involution may prove a pair.
 """
 
 from __future__ import annotations
@@ -88,20 +88,6 @@ def parse_graph(text: str) -> Graph:
     raise UsageError(f"unknown graph kind {kind!r}")
 
 
-def _mirror_candidates(n: int, u: int, v: int) -> tuple[tuple[int, ...], ...]:
-    """The reflection x -> (u + v - x) mod n and the transposition (u v).
-
-    parse_graph numbers a named graph's vertices so that one of the two swaps
-    each mirror pair: the reflection swaps a path's pairs with u + v = n - 1
-    and every pair of a cycle, the transposition two vertices on one side of
-    a complete bipartite graph. They are only candidates: cospectrality
-    uses one only once verify_involution accepts it.
-    """
-    transposition = list(range(n))
-    transposition[u], transposition[v] = v, u
-    return tuple((u + v - x) % n for x in range(n)), tuple(transposition)
-
-
 def _json_number(value: int | float):
     # JSON has no infinity; an infinite order or bound prints as "infinite"
     return "infinite" if math.isinf(value) else value
@@ -143,7 +129,7 @@ def _decompose(graph: Graph, model: Model):
     return eigendecompose(hamiltonian_matrix(model, graph))
 
 
-def _cmd_fidelity(args, graph: Graph, mirrors: tuple[tuple[int, ...], ...]) -> dict | str:
+def _cmd_fidelity(args, graph: Graph) -> dict | str:
     dec = _decompose(graph, parse_model(args.model))
     curve = fidelity_curve(dec, args.u, args.v, args.tmax, args.samples)
     if args.json:
@@ -154,7 +140,7 @@ def _cmd_fidelity(args, graph: Graph, mirrors: tuple[tuple[int, ...], ...]) -> d
     return _csv(("t", "probability"), curve.times, curve.probabilities)
 
 
-def _cmd_peak(args, graph: Graph, mirrors: tuple[tuple[int, ...], ...]) -> dict:
+def _cmd_peak(args, graph: Graph) -> dict:
     dec = _decompose(graph, parse_model(args.model))
     if args.strategy == "grid":
         strategy = GridSearch(t_max=args.tmax, samples=args.samples)
@@ -164,11 +150,11 @@ def _cmd_peak(args, graph: Graph, mirrors: tuple[tuple[int, ...], ...]) -> dict:
         )
     peak = peak_fidelity(dec, args.u, args.v, strategy)
     try:
-        res = k_threshold_two_class(graph, args.u, args.v, args.epsilon, mirrors)
+        res = k_threshold_two_class(graph, args.u, args.v, args.epsilon)
     except ThresholdHypothesisError as exc:
         threshold, order = None, exc.cospectrality_order
     except ValueError:  # raised before the cospectrality order was taken
-        threshold, order = None, cospectrality(graph, args.u, args.v, involutions=mirrors).order
+        threshold, order = None, cospectrality(graph, args.u, args.v).order
     else:
         threshold = {
             "epsilon": args.epsilon,
@@ -192,7 +178,7 @@ def _cmd_peak(args, graph: Graph, mirrors: tuple[tuple[int, ...], ...]) -> dict:
     }
 
 
-def _cmd_sweep(args, graph: Graph, mirrors: tuple[tuple[int, ...], ...]) -> dict | str:
+def _cmd_sweep(args, graph: Graph) -> dict | str:
     if args.steps < 1:
         raise UsageError("--steps must be at least 1")
     if not (math.isfinite(args.kmin) and math.isfinite(args.kmax)):
@@ -201,7 +187,7 @@ def _cmd_sweep(args, graph: Graph, mirrors: tuple[tuple[int, ...], ...]) -> dict
     k_min_threshold = None
     if args.threshold or args.epsilon is not None:
         epsilon = args.epsilon if args.epsilon is not None else 0.1
-        k_min_threshold = k_threshold_two_class(graph, args.u, args.v, epsilon, mirrors).k_min
+        k_min_threshold = k_threshold_two_class(graph, args.u, args.v, epsilon).k_min
     ks = np.linspace(args.kmin, args.kmax, args.steps).tolist()
     peaks = sweep_peaks(graph, args.u, args.v, ks, fallback)
     rows = []
@@ -220,8 +206,8 @@ def _cmd_sweep(args, graph: Graph, mirrors: tuple[tuple[int, ...], ...]) -> dict
     return _csv(columns, *([row[c] for row in rows] for c in columns))
 
 
-def _cmd_bound(args, graph: Graph, mirrors: tuple[tuple[int, ...], ...]) -> dict:
-    res = k_threshold_two_class(graph, args.u, args.v, args.epsilon, mirrors)
+def _cmd_bound(args, graph: Graph) -> dict:
+    res = k_threshold_two_class(graph, args.u, args.v, args.epsilon)
     return {
         "epsilon": args.epsilon,
         "q_min": _json_number(res.q_min),
@@ -235,7 +221,7 @@ def _cmd_bound(args, graph: Graph, mirrors: tuple[tuple[int, ...], ...]) -> dict
     }
 
 
-def _cmd_analyze(args, graph: Graph, mirrors: tuple[tuple[int, ...], ...]) -> dict:
+def _cmd_analyze(args, graph: Graph) -> dict:
     involution = None
     searched = False
     if args.involution is not None:
@@ -250,10 +236,8 @@ def _cmd_analyze(args, graph: Graph, mirrors: tuple[tuple[int, ...], ...]) -> di
                 involution = list(found)
         except InvolutionSearchLimitError:
             pass
-    # an involution in hand proves the order; the mirror candidates are the fallback
-    candidates = mirrors if involution is None else (involution, *mirrors)
     adjacency = eigendecompose(graph.adjacency_matrix(with_loops=False))
-    cos = cospectrality(graph, args.u, args.v, adjacency, candidates)
+    cos = cospectrality(graph, args.u, args.v, adjacency, involution)
     signs = sign_pattern(adjacency, args.u, args.v)
     divergence = None if cos.first_divergence is None else dataclasses.asdict(cos.first_divergence)
     return {
@@ -334,9 +318,7 @@ def _report(args) -> str:
     graph.check_vertex(args.v)
     if args.command != "fidelity" and args.u == args.v:
         raise UsageError("--u and --v must name distinct vertices")
-    # an edge list is counted and cross-checked; a named graph offers its mirror candidates
-    mirrors = () if args.graph.startswith("file:") else _mirror_candidates(graph.n, args.u, args.v)
-    body = args.handler(args, graph, mirrors)
+    body = args.handler(args, graph)
     if isinstance(body, str):
         return body
     header = {"schema_version": SCHEMA_VERSION, "graph": args.graph}

@@ -6,10 +6,12 @@ one of two ways:
 
 - Proved infinite by an involution. An automorphism sigma of the graph with
   sigma(u) = v maps the closed walks from u one-to-one onto those from v, so
-  the counts agree at every length. A caller may offer candidates for
-  sigma; once verify_involution accepts one with sigma(u) = v, the order
-  is infinite with no walk counted and no eigendecomposition. Candidates
-  that fail are ignored.
+  the counts agree at every length. cospectrality tries a caller's sigma,
+  then the reflection x -> (u + v - x) mod n and the transposition (u v),
+  on every graph; once verify_involution accepts one, the order is
+  infinite with no walk counted and no eigendecomposition. The two closed
+  forms swap the mirror pairs of path, cycle and complete bipartite graphs
+  as glwalk numbers them; a candidate that fails is ignored.
 - Counted and cross-checked. Counts are compared exactly up to length n-1:
   (A^k)_uu and (A^k)_vv both obey the recurrence of A's minimal polynomial,
   of order <= n, so agreement at lengths 0..n-1 forces agreement at every
@@ -26,7 +28,7 @@ preserve them to prove the order.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
@@ -125,21 +127,34 @@ def closed_walk_counts(g: Graph, x: int, k_max: int) -> list[int]:
     return [counts[0] for counts in islice(_closed_walks(g, [x]), k_max)]
 
 
+def _mirror_candidates(n: int, u: int, v: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The reflection x -> (u + v - x) mod n and the transposition (u v).
+
+    The reflection swaps a path's pairs with u + v = n - 1 and every pair of
+    a cycle, the transposition two vertices on one side of a complete
+    bipartite graph. Both map u to v; whether either is an automorphism is
+    for verify_involution to decide.
+    """
+    transposition = list(range(n))
+    transposition[u], transposition[v] = v, u
+    return tuple((u + v - x) % n for x in range(n)), tuple(transposition)
+
+
 def cospectrality(
     g: Graph,
     u: int,
     v: int,
     adjacency: EigenDecomposition | None = None,
-    involutions: Iterable[Sequence[int]] = (),
+    involution: Sequence[int] | None = None,
 ) -> CospectralityResult:
     """Cospectrality order of the pair, proved by an involution or counted.
 
-    involutions holds candidate permutations of the vertices, tried in
-    order. Once verify_involution(g, sigma) holds for one with
-    sigma[u] == v, the order is infinite by proof and returns at once: no
-    walk is counted and no eigendecomposition runs. Every other permutation
-    is ignored; a sequence that is not a permutation of the vertices raises
-    ValueError.
+    The candidates for sigma are involution when given, then the reflection
+    x -> (u + v - x) mod n and the transposition (u v). Once
+    verify_involution(g, sigma) holds for one with sigma[u] == v, the order
+    is infinite by proof and returns at once: no walk is counted and no
+    eigendecomposition runs. Every other permutation is ignored; an
+    involution that is not a permutation of the vertices raises ValueError.
 
     Otherwise exact walk counts from u and v are compared in lockstep up to
     length n-1; the first disagreement yields the finite order and the
@@ -153,7 +168,10 @@ def cospectrality(
     g.check_vertex(v)
     if u == v:
         raise ValueError("cospectrality needs two distinct vertices")
-    if any(verify_involution(g, sigma) and sigma[u] == v for sigma in involutions):
+    candidates = _mirror_candidates(g.n, u, v)
+    if involution is not None:
+        candidates = (involution, *candidates)
+    if any(verify_involution(g, sigma) and sigma[u] == v for sigma in candidates):
         return CospectralityResult(order=INFINITE, first_divergence=None)
     for k, (cu, cv) in enumerate(islice(_closed_walks(g, [u, v]), g.n - 1), start=1):
         if cu != cv:

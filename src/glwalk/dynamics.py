@@ -41,8 +41,6 @@ from .graphs import Graph
 from .hamiltonians import Generalized, hamiltonian_stack
 from .spectral import EigenDecomposition, eigendecompose_stack, group_sums
 
-# gap below this fraction of the spectral range counts as degenerate
-DEGENERATE_GAP_SCALE = 1e-13
 # golden-section refinement stops at this relative bracket width
 REFINE_RELATIVE_WIDTH = 1e-12
 #: a stack holds at most this many matrix entries or scan samples: a sweep
@@ -189,13 +187,7 @@ def _two_level_candidates(
             candidates.append(DegenerateGapError("fewer than two eigenvalue groups; no beat frequency exists"))
             continue
         first, second = (start + np.argsort(-masses[start:stop], kind="stable")[:2]).tolist()
-        gap = abs(means[first] - means[second])
-        if gap < DEGENERATE_GAP_SCALE * dec.spectral_range:
-            candidates.append(
-                DegenerateGapError(f"top localized groups are degenerate (gap {gap:.3e}); use a grid search")
-            )
-        else:
-            candidates.append(math.pi / gap)
+        candidates.append(math.pi / abs(means[first] - means[second]))
     return candidates
 
 
@@ -203,9 +195,11 @@ def two_level_candidate_time(dec: EigenDecomposition, u: int, v: int) -> float:
     """Half beat period of the two eigenvalue groups most localized on {u, v}.
 
     When transfer is dominated by two near-(e_u +- e_v)/sqrt(2) eigenvectors,
-    |U(t)_{u,v}| first peaks at pi over their eigenvalue gap. Raises
-    DegenerateGapError when that gap is numerically zero (PST-like degeneracy);
-    callers should fall back to a grid search in that case.
+    |U(t)_{u,v}| first peaks at pi over their eigenvalue gap. Groups split
+    only where consecutive eigenvalues differ by more than the grouping
+    tolerance, which keeps that gap away from zero; a spectrum with a single
+    group has no gap and raises DegenerateGapError, and callers should fall
+    back to a grid search.
     """
     pairs = np.array([(dec.eigenvectors[u], dec.eigenvectors[v])])
     candidate = _two_level_candidates([dec], dec.eigenvalues[None], pairs)[0]

@@ -36,7 +36,7 @@ class ConvergenceError(GlwalkError, RuntimeError):
 
 
 class DegenerateGapError(GlwalkError, RuntimeError):
-    """Two-level candidate time is undefined because the relevant eigenvalue gap vanishes."""
+    """Two-level candidate time is undefined: the spectrum has a single eigenvalue group."""
 
 
 class CospectralityMismatchError(GlwalkError, RuntimeError):

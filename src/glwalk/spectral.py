@@ -52,10 +52,6 @@ class EigenDecomposition:
     def n(self) -> int:
         return self.eigenvalues.shape[0]
 
-    @property
-    def spectral_range(self) -> float:
-        return float(self.eigenvalues[-1] - self.eigenvalues[0])
-
 
 def _group_sizes(eigenvalues: np.ndarray) -> list[tuple[int, ...]]:
     # the group sizes of each row of a (K, n) stack of ascending eigenvalues

@@ -2,6 +2,8 @@ import os
 import sys
 from pathlib import Path
 
+import pytest
+
 # one BLAS thread, set before anything imports numpy, so OpenBLAS thread
 # hand-offs do not add outliers to the timing budgets of the acceptance tests
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -9,3 +11,19 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 # make the shared oracles/generators helpers importable from every test module
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+
+@pytest.fixture
+def walk_runs(monkeypatch) -> list:
+    """Each glwalk.cospectral._closed_walks run of the test: one per pair whose walks are counted."""
+    import glwalk.cospectral
+
+    runs = []
+    closed_walks = glwalk.cospectral._closed_walks
+
+    def counted_walks(*args):
+        runs.append(args)
+        return closed_walks(*args)
+
+    monkeypatch.setattr(glwalk.cospectral, "_closed_walks", counted_walks)
+    return runs

@@ -15,7 +15,9 @@ from glwalk import (
     complete_bipartite,
     cycle_graph,
     path_graph,
+    verify_involution,
 )
+from glwalk.cospectral import _mirror_candidates
 
 
 def random_graph(rng: np.random.Generator, n_max: int = 12, allow_loops: bool = True) -> Graph:
@@ -51,6 +53,34 @@ def mirror_pair(g: Graph, rng: np.random.Generator) -> tuple[int, int]:
     if u == v:
         v = (u + 1) % g.n
     return u, v
+
+
+#: the path 0-1-2-4-3-5: the reversal (5, 3, 4, 1, 2, 0) swaps its endpoints but neither
+#: closed-form candidate does, so cospectrality counts their walks and cross-checks them
+PATH6_RELABELLED = "n=6\n0 1\n1 2\n2 4\n3 4\n3 5\n"
+
+
+def relabelled(g: Graph, u: int, v: int, rng: np.random.Generator, draws: int = 100) -> tuple[Graph, int, int]:
+    """g under a seeded random vertex relabelling, and the new labels of u and v.
+
+    Relabellings are drawn until neither closed-form candidate of
+    glwalk.cospectral (the reflection and the transposition of the pair) is
+    an automorphism, so cospectrality counts the pair's walks; after draws
+    tries the last one is returned. Twins, such as two vertices on one side
+    of a complete bipartite graph, keep their transposition under every
+    relabelling.
+    """
+    for _ in range(draws):
+        label = rng.permutation(g.n).tolist()
+        h = Graph(
+            n=g.n,
+            edges=frozenset((label[a], label[b]) for a, b in g.edges),
+            loop_weights={label[x]: q for x, q in g.loop_weights.items()},
+        )
+        a, b = label[u], label[v]
+        if not any(verify_involution(h, sigma) for sigma in _mirror_candidates(h.n, a, b)):
+            break
+    return h, a, b
 
 
 def random_model(rng: np.random.Generator, g: Graph) -> Model:

@@ -11,6 +11,7 @@ from glwalk import (
     ConvergenceError,
     Generalized,
     eigendecompose,
+    from_edge_list,
     hamiltonian_matrix,
     path_graph,
     cospectrality,
@@ -23,7 +24,7 @@ import glwalk.cli
 import glwalk.cospectral
 import glwalk.spectral
 from glwalk.cli import main
-from generators import late_divergence_graph
+from generators import PATH6_RELABELLED, late_divergence_graph, relabelled
 from oracles import walk_count_oracle
 
 
@@ -344,22 +345,24 @@ def test_analyze_path200_divergence(capsys) -> None:
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "graph, u, v, argv",
     [
-        pytest.param("analyze --graph cycle:200 --u 0 --v 100", id="analyze-cycle200"),
-        pytest.param("bound --graph path:200 --u 0 --v 199 --epsilon 0.1", id="bound-path200"),
-        pytest.param("peak --graph cycle:800 --model adjacency --u 0 --v 5", id="peak-cycle800"),
+        pytest.param("cycle:200", 0, 100, "analyze", id="analyze-cycle200"),
+        pytest.param("path:200", 0, 199, "bound --epsilon 0.1", id="bound-path200"),
+        pytest.param("cycle:800", 0, 5, "peak --model adjacency", id="peak-cycle800"),
     ],
 )
-def test_mirror_pairs_counted_past_128_bits_are_infinite(capsys, tmp_path, argv) -> None:
+def test_mirror_pairs_counted_past_128_bits_are_infinite(capsys, tmp_path, walk_runs, graph, u, v, argv) -> None:
     # counts to length n - 1 pass 2^128 (at length 132 on cycle:200 and cycle:800, 136 on path:200).
-    # The graph goes in as an edge list, so the pair is counted, not proved by a closed-form involution.
-    command, _, graph, *flags = argv.split()
+    # The graph goes in as a relabelled edge list that neither closed-form candidate proves, so the
+    # pair is counted.
+    g, a, b = relabelled(glwalk.cli.parse_graph(graph), u, v, np.random.default_rng(200))
     doc = tmp_path / "graph.txt"
-    doc.write_text(to_edge_list(glwalk.cli.parse_graph(graph)), encoding="utf-8")
-    code, out, _ = run_cli(capsys, command, "--graph", f"file:{doc}", *flags)
+    doc.write_text(to_edge_list(g), encoding="utf-8")
+    code, out, _ = run_cli(capsys, *argv.split(), "--graph", f"file:{doc}", "--u", str(a), "--v", str(b))
     assert code == 0
     assert json.loads(out)["cospectrality_order"] == "infinite"
+    assert len(walk_runs) == 1
 
 
 def test_analyze_late_divergence_counts_match_oracle(capsys, tmp_path) -> None:
@@ -441,22 +444,22 @@ def _no_adjacency_eigh(*args, **kwargs):
 
 
 def test_closed_form_involutions_prove_every_mirror_pair(monkeypatch) -> None:
+    # the named graph and its edge-list copy alike
     monkeypatch.setattr(glwalk.cospectral, "_closed_walks", _fail_if_called)
     monkeypatch.setattr(glwalk.cospectral, "eigendecompose", _no_adjacency_eigh)
     graphs = {}
     for text, u, v in _named_mirror_pairs():
         if text not in graphs:
-            graphs[text] = glwalk.cli.parse_graph(text)
-        g = graphs[text]
-        mirrors = glwalk.cli._mirror_candidates(g.n, u, v)
-        assert any(verify_involution(g, s) and s[u] == v for s in mirrors), (text, u, v)
-        assert cospectrality(g, u, v, involutions=mirrors).infinite, (text, u, v)
+            named = glwalk.cli.parse_graph(text)
+            graphs[text] = (named, from_edge_list(to_edge_list(named)))
+        for g in graphs[text]:
+            assert cospectrality(g, u, v).infinite, (text, u, v)
 
 
 @pytest.mark.parametrize("text, u, v", [("path:6", 0, 4), ("path:7", 2, 3), ("bipartite:2,4", 0, 2)])
 def test_mirror_candidates_fail_off_mirror_pairs(text, u, v) -> None:
     g = glwalk.cli.parse_graph(text)
-    assert not any(verify_involution(g, s) for s in glwalk.cli._mirror_candidates(g.n, u, v))
+    assert not any(verify_involution(g, s) for s in glwalk.cospectral._mirror_candidates(g.n, u, v))
 
 
 def _draw_named_pair(rng: np.random.Generator) -> tuple[str, int, int]:
@@ -485,43 +488,56 @@ def _draw_named_pair(rng: np.random.Generator) -> tuple[str, int, int]:
     return text, u, v
 
 
-def test_named_graphs_match_their_edge_lists(capsys, monkeypatch, tmp_path) -> None:
-    # a named mirror pair takes the involution route, the same graph as file: the counted one
-    walk_runs = []
+def _order_fields(command: str, code: int, out: str, err: str):
+    """What a report holds that follows from the order and the graph alone, not from vertex labels or eigh."""
+    if code != 0:
+        return code, json.loads(err)["error"]["type"]
+    report = json.loads(out)
+    if command == "peak":
+        return report["cospectrality_order"], report["threshold"]
+    if command == "bound":
+        return {key: value for key, value in report.items() if key not in ("graph", "u", "v")}
+    if command == "sweep":
+        return report["k_min_threshold"], [row["crosses_threshold"] for row in report["rows"]]
+    return report["cospectrality_order"], report["first_divergence"], report["projector_cospectral"]
 
-    def counted_walks(*args):
-        walk_runs.append(args)
-        return closed_walks(*args)
 
-    closed_walks = glwalk.cospectral._closed_walks
-    monkeypatch.setattr(glwalk.cospectral, "_closed_walks", counted_walks)
-    rng = np.random.default_rng(1717)
-    file_walk_runs = proved_thresholds = 0
+def test_named_graphs_match_their_edge_lists(capsys, tmp_path, walk_runs) -> None:
+    # a named mirror pair is proved by a closed-form involution; the same graph relabelled at random
+    # and given as an edge list is counted unless the pair is twins. Error messages name vertices
+    # and spectral numbers follow eigh's rounding, so only the error type and the fields that
+    # follow from the order and the graph are compared.
+    rng = np.random.default_rng(1818)
+    counted = proved_thresholds = 0
     for case in range(24):
         text, u, v = _draw_named_pair(rng)
-        doc = tmp_path / f"graph{case}.txt"
         g = glwalk.cli.parse_graph(text)
-        doc.write_text(to_edge_list(g), encoding="utf-8")
-        mirrored = any(verify_involution(g, s) for s in glwalk.cli._mirror_candidates(g.n, u, v))
+        mirrored = any(verify_involution(g, s) for s in glwalk.cospectral._mirror_candidates(g.n, u, v))
+        h, a, b = relabelled(g, u, v, rng)
+        hidden = not any(verify_involution(h, s) for s in glwalk.cospectral._mirror_candidates(h.n, a, b))
+        doc = tmp_path / f"graph{case}.txt"
+        doc.write_text(to_edge_list(h), encoding="utf-8")
         k = float(rng.uniform(-3.0, 3.0))
         for argv in (
             ["peak", "--model", f"generalized:{k!r}"],
             ["bound", "--epsilon", "0.1"],
-            ["sweep", "--kmin", repr(k), "--kmax", repr(k + 1.0), "--steps", "3", "--epsilon", "0.1"],
+            ["sweep", "--kmin", repr(k), "--kmax", repr(k + 1.0), "--steps", "3", "--epsilon", "0.1", "--json"],
             ["analyze"],
         ):
-            pair = ["--u", str(u), "--v", str(v)]
             walk_runs.clear()
-            named = run_cli(capsys, *argv, "--graph", text, *pair)
+            named = run_cli(capsys, *argv, "--graph", text, "--u", str(u), "--v", str(v))
             if mirrored:
                 assert walk_runs == [], (argv[0], text, u, v)
                 proved_thresholds += argv[0] == "bound" and named[0] == 0
             walk_runs.clear()
-            listed = run_cli(capsys, *argv, "--graph", f"file:{doc}", *pair)
-            file_walk_runs += len(walk_runs)
-            renamed = listed[1].replace(json.dumps(f"file:{doc}"), json.dumps(text), 1)
-            assert (named[0], named[1], named[2]) == (listed[0], renamed, listed[2]), (argv[0], text, u, v)
-    assert file_walk_runs >= 20 and proved_thresholds >= 3
+            listed = run_cli(capsys, *argv, "--graph", f"file:{doc}", "--u", str(a), "--v", str(b))
+            assert _order_fields(argv[0], *named) == _order_fields(argv[0], *listed), (argv[0], text, u, v)
+            # a hidden pair is counted by every command that reaches cospectrality, unless
+            # analyze's search found an involution to prove it with
+            searched = argv[0] == "analyze" and json.loads(listed[1])["involution"] is not None
+            assert bool(walk_runs) == (hidden and listed[0] == 0 and not searched), (argv[0], text, u, v)
+            counted += bool(walk_runs)
+    assert counted >= 30 and proved_thresholds >= 3
 
 
 @pytest.mark.parametrize(
@@ -562,23 +578,18 @@ def test_mirror_pairs_count_no_walks(capsys, monkeypatch, argv, decompositions) 
         assert json.loads(out)["cospectrality_order"] == "infinite"
 
 
-def test_edge_list_mirror_pair_is_counted_and_cross_checked(capsys, monkeypatch, tmp_path) -> None:
+def test_edge_list_mirror_pair_is_counted_and_cross_checked(capsys, monkeypatch, tmp_path, walk_runs) -> None:
+    g, u, v = relabelled(path_graph(60), 0, 59, np.random.default_rng(60))
     doc = tmp_path / "path60.txt"
-    doc.write_text(to_edge_list(path_graph(60)), encoding="utf-8")
-    walk_runs, adjacency_runs = [], []
-
-    def counted_walks(*args):
-        walk_runs.append(args)
-        return closed_walks(*args)
+    doc.write_text(to_edge_list(g), encoding="utf-8")
+    adjacency_runs = []
 
     def counted_eigh(h):
         adjacency_runs.append(h)
         return eigendecompose(h)
 
-    closed_walks = glwalk.cospectral._closed_walks
-    monkeypatch.setattr(glwalk.cospectral, "_closed_walks", counted_walks)
     monkeypatch.setattr(glwalk.cospectral, "eigendecompose", counted_eigh)
-    code, out, _ = run_cli(capsys, "bound", "--graph", f"file:{doc}", "--u", "0", "--v", "59", "--epsilon", "0.1")
+    code, out, _ = run_cli(capsys, "bound", "--graph", f"file:{doc}", "--u", str(u), "--v", str(v), "--epsilon", "0.1")
     assert code == 0
     assert json.loads(out)["cospectrality_order"] == "infinite"
     assert len(walk_runs) == 1 and len(adjacency_runs) == 1
@@ -676,14 +687,15 @@ def _skewed_pair_diagonals(dec, u, v):
         ),
     ],
 )
-def test_error_table_through_main(capsys, monkeypatch, tmp_path, argv, patch, kind, exit_code) -> None:
+def test_error_table_through_main(capsys, monkeypatch, tmp_path, walk_runs, argv, patch, kind, exit_code) -> None:
     monkeypatch.chdir(tmp_path)
     (tmp_path / "edgeless.txt").write_text("n=3\n", encoding="utf-8")
-    # path:6 as an edge list: its endpoints are counted and cross-checked, not proved by an involution
-    (tmp_path / "path6.txt").write_text(to_edge_list(path_graph(6)), encoding="utf-8")
+    (tmp_path / "path6.txt").write_text(PATH6_RELABELLED, encoding="utf-8")
     if patch is not None:
         monkeypatch.setattr(*patch)
     code, out, err = run_cli(capsys, *argv.split())
+    # only the cross-check after a count raises a mismatch; every other failure comes before a count
+    assert bool(walk_runs) == (kind == "cospectrality-mismatch")
     assert (code, out) == (exit_code, "")
     assert err.count("\n") == 1 and err.endswith("\n")
     assert json.loads(err)["error"]["type"] == kind
@@ -741,25 +753,34 @@ def test_missing_graph_file_is_io_error(capsys, tmp_path) -> None:
     ],
     ids=["analyze", "bound", "peak"],
 )
-def test_projector_cross_check_mismatch_is_numeric_error(capsys, monkeypatch, tmp_path, argv) -> None:
-    # walk counts call path:6 endpoints cospectral; make every projector diagonal disagree.
-    # The path is given as an edge list, since the named path:6 proves the pair by its reversal.
+def test_projector_cross_check_mismatch_is_numeric_error(capsys, monkeypatch, tmp_path, walk_runs, argv) -> None:
+    # walk counts call the path's endpoints cospectral; make every projector diagonal disagree
     doc = tmp_path / "path6.txt"
-    doc.write_text(to_edge_list(path_graph(6)), encoding="utf-8")
+    doc.write_text(PATH6_RELABELLED, encoding="utf-8")
     real = glwalk.cospectral.pair_diagonals
+    adjacency = from_edge_list(PATH6_RELABELLED).adjacency_matrix(with_loops=False)
+    decomposed = []
 
     def skewed(dec, u, v):
         diagonals = real(dec, u, v)
         diagonals[0] += 1e-3
         return diagonals
 
+    def recorded(h):
+        decomposed.append(h)
+        return eigendecompose(h)
+
     monkeypatch.setattr(glwalk.cospectral, "pair_diagonals", skewed)
+    monkeypatch.setattr(glwalk.cospectral, "eigendecompose", recorded)
+    monkeypatch.setattr(glwalk.cli, "eigendecompose", recorded)
     code, out, err = run_cli(capsys, *argv, "--graph", f"file:{doc}", "--u", "0", "--v", "5")
     assert code == 3
     assert out == ""
     error = json.loads(err)["error"]
     assert error["type"] == "cospectrality-mismatch"
     assert "differs by 1.000e-03" in error["message"]
+    assert len(walk_runs) == 1
+    assert any(np.array_equal(h, adjacency) for h in decomposed)
 
 
 @pytest.mark.parametrize(

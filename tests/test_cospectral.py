@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from generators import mirror_pair, random_graph, structured_graph
+from generators import PATH6_RELABELLED, mirror_pair, random_graph, relabelled, structured_graph
 from glwalk import (
     Adjacency,
     Graph,
@@ -18,6 +18,7 @@ from glwalk import (
     cycle_graph,
     eigendecompose,
     find_involution_pairing,
+    from_edge_list,
     hamiltonian_matrix,
     localization_mass,
     path_graph,
@@ -125,10 +126,13 @@ def _oracle_cospectrality(g: Graph, u: int, v: int) -> tuple[float, tuple | None
 
 
 def test_cospectrality_across_int64_switch_matches_oracle() -> None:
+    # each pair is relabelled to hide the closed-form candidates, so it is counted unless it is
+    # twins (two vertices on one side of a complete bipartite graph)
+    rng = np.random.default_rng(64)
     cases = [g for g, _ in _int64_switch_cases()] + [complete_bipartite(12, 12)]
-    for g in cases:
-        pairs = [(0, 1), (0, g.n - 1), (1, g.n // 2)]
-        for u, v in pairs:
+    for named in cases:
+        for pair in [(0, 1), (0, named.n - 1), (1, named.n // 2)]:
+            g, u, v = relabelled(named, *pair, rng)
             result = cospectrality(g, u, v)
             order, divergence = _oracle_cospectrality(g, u, v)
             assert result.order == order
@@ -314,20 +318,24 @@ def test_involution_implies_infinite_implies_sign_property() -> None:
     assert found >= 10  # the implication chain must not be vacuous
 
 
-def test_failed_involution_candidates_fall_back_to_counting() -> None:
+def _result_as_tuple(result) -> tuple:
+    divergence = result.first_divergence
+    return result.order, None if divergence is None else (divergence.length, divergence.count_u, divergence.count_v)
+
+
+def test_failed_involution_candidates_fall_back_to_counting(walk_runs) -> None:
     # a candidate that is no automorphism, or an automorphism that does not map u to v, proves
-    # nothing: the order and divergence are the counted ones
+    # nothing: on a relabelling that hides the closed forms the order and divergence are counted
     rng = np.random.default_rng(97)
-    non_automorphisms = misses = 0
+    non_automorphisms = misses = counted = 0
     for _ in range(60):
         g = structured_graph(rng, n_max=10) if rng.random() < 0.5 else random_graph(
             rng, n_max=10, allow_loops=False
         )
-        u, v = mirror_pair(g, rng)
-        counted = cospectrality(g, u, v)
+        g, u, v = relabelled(g, *mirror_pair(g, rng), rng)
+        oracle = _oracle_cospectrality(g, u, v)
         swap = list(range(g.n))
         swap[u], swap[v] = v, u
-        failed = []
         for sigma in (swap, tuple(range(g.n)), tuple(range(g.n - 1, -1, -1))):
             if verify_involution(g, sigma):
                 if sigma[u] == v:
@@ -335,29 +343,56 @@ def test_failed_involution_candidates_fall_back_to_counting() -> None:
                 misses += 1
             else:
                 non_automorphisms += 1
-            assert cospectrality(g, u, v, involutions=[sigma]) == counted
-            failed.append(sigma)
-        assert cospectrality(g, u, v, involutions=failed) == counted
-    assert non_automorphisms >= 20 and misses >= 20
+            walk_runs.clear()
+            assert _result_as_tuple(cospectrality(g, u, v, involution=sigma)) == oracle
+            counted += len(walk_runs)
+    assert non_automorphisms >= 20 and misses >= 20 and counted >= 100
 
 
 def test_verified_involution_proves_the_order_without_counting(monkeypatch) -> None:
     # loop weights do not count walks, so an involution need not preserve them
-    g = Graph(n=6, edges=path_graph(6).edges, loop_weights={0: 5.0})
-    reversal = (5, 4, 3, 2, 1, 0)
-    assert cospectrality(g, 0, 5).infinite
+    g = Graph(n=6, edges=from_edge_list(PATH6_RELABELLED).edges, loop_weights={0: 5.0})
+    reversal = (5, 3, 4, 1, 2, 0)
+    oracle = _oracle_cospectrality(g, 0, 5)
+    assert oracle == (math.inf, None)
+    assert _result_as_tuple(cospectrality(g, 0, 5)) == oracle
 
     def fail(*args, **kwargs):
         raise AssertionError("walks were counted or the adjacency matrix decomposed")
 
     monkeypatch.setattr(glwalk.cospectral, "_closed_walks", fail)
     monkeypatch.setattr(glwalk.cospectral, "eigendecompose", fail)
-    assert cospectrality(g, 0, 5, involutions=[reversal]) == cospectrality(g, 5, 0, involutions=[reversal])
-    assert cospectrality(g, 0, 5, involutions=[reversal]).infinite
-    # a candidate that fails is skipped and the next one is tried
-    assert cospectrality(g, 0, 5, involutions=[tuple(range(6)), reversal]).infinite
+    assert cospectrality(g, 0, 5, involution=reversal) == cospectrality(g, 5, 0, involution=reversal)
+    assert _result_as_tuple(cospectrality(g, 0, 5, involution=reversal)) == oracle
+    # a caller's candidate that fails is skipped and the closed forms are tried
+    natural = Graph(n=6, edges=path_graph(6).edges, loop_weights={0: 5.0})
+    assert cospectrality(natural, 0, 5, involution=tuple(range(6))).infinite
     with pytest.raises(ValueError):
-        cospectrality(g, 0, 5, involutions=[(5, 4, 3, 2, 1, 1)])
+        cospectrality(g, 0, 5, involution=(5, 3, 4, 1, 2, 2))
+
+
+def test_cospectrality_is_invariant_under_relabelling(walk_runs) -> None:
+    # the order is a graph invariant: the named numbering (often proved by a closed form) and a
+    # relabelling that hides the closed forms (counted unless the pair is twins) both give the
+    # oracle's counted order and divergence
+    rng = np.random.default_rng(1819)
+    proved = counted = 0
+    for _ in range(60):
+        g = structured_graph(rng, n_max=12) if rng.random() < 0.6 else random_graph(
+            rng, n_max=10, allow_loops=False
+        )
+        if g.n < 2:
+            continue
+        u, v = mirror_pair(g, rng)
+        h, a, b = relabelled(g, u, v, rng)
+        oracle = _oracle_cospectrality(g, u, v)
+        walk_runs.clear()
+        assert _result_as_tuple(cospectrality(g, u, v)) == oracle
+        proved += not walk_runs
+        walk_runs.clear()
+        assert _result_as_tuple(cospectrality(h, a, b)) == oracle
+        counted += bool(walk_runs)
+    assert proved >= 25 and counted >= 35
 
 
 def test_closed_two_walks_equal_degree() -> None:

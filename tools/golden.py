@@ -8,12 +8,13 @@ The first form runs every command of a fixed corpus through
 glwalk from DIR (default: the ``src`` next to this script), and writes
 ``{command: [exit code, stdout, stderr]}`` as JSON. The corpus covers all five
 subcommands, every model spelling, and path, cycle, complete bipartite and
-edge-list graphs: seeded G(n, p) files with loop lines and three fixed files,
-one with a non-finite loop weight, one with no edges and one whose pair has
-cospectrality order equal to its distance, which the commands name by a
-relative path inside a temporary working directory so the keys do not depend
-on where it lives. The second form lists the commands whose exit code, stdout or stderr
-differ between two such files, and exits 1 if any do.
+edge-list graphs: seeded G(n, p) files with loop lines and five fixed files,
+one with a non-finite loop weight, one with no edges, one whose pair has
+cospectrality order equal to its distance and path:8 in two numberings. The
+commands name each file by a relative path inside a temporary working
+directory so the keys do not depend on where it lives. The second form lists
+the commands whose exit code, stdout or stderr differ between two such files,
+and exits 1 if any do.
 """
 
 from __future__ import annotations
@@ -42,6 +43,10 @@ TEXT_FILES = {
     "empty4.txt": "n=4\n",
     # two degree classes; the pair (3, 5) has cospectrality order = distance = 3
     "twoclass8.txt": "n=8\n0 2\n0 4\n0 5\n1 5\n1 6\n1 7\n2 4\n2 6\n3 6\n3 7\n4 7\n",
+    # path:8 numbered along the path, whose endpoints the reflection x -> 7 - x swaps, and the
+    # path 0-1-2-3-5-4-6-7, whose endpoints neither closed-form candidate swaps, so they are counted
+    "path8.txt": "n=8\n0 1\n1 2\n2 3\n3 4\n4 5\n5 6\n6 7\n",
+    "path8-relabelled.txt": "n=8\n0 1\n1 2\n2 3\n3 5\n4 5\n4 6\n6 7\n",
 }
 
 #: (graph, u, v) pairs that get analyze, bound and a peak per model
@@ -185,7 +190,7 @@ EXTRA = [
     "fidelity --graph path:4 --model adjacency --u 0 --v 3 --tmax 1e-200 --samples 300",
     "fidelity --graph path:4 --model adjacency --u 0 --v 3 --tmax 3e17 --samples 300",
     # mirror pairs above the n <= 16 involution search, proved by the reflection or the
-    # transposition the CLI offers (a failed --involution falls back to them); the last
+    # transposition cospectrality tries (a failed --involution falls back to them); the last
     # two pairs are swapped by the reflection across the sides of K_{10,10} and by neither
     "analyze --graph cycle:40 --u 3 --v 17",
     "analyze --graph bipartite:20,30 --u 25 --v 40",
@@ -198,6 +203,13 @@ EXTRA = [
     "sweep --graph bipartite:2,20 --u 0 --v 1 --kmin 30 --kmax 60 --steps 3 --epsilon 0.1",
     "analyze --graph bipartite:10,10 --u 0 --v 19",
     "analyze --graph bipartite:10,10 --u 0 --v 18",
+    # the same path's endpoints proved by the reflection and counted
+    "bound --graph file:path8.txt --u 0 --v 7 --epsilon 0.1",
+    "peak --graph file:path8.txt --model adjacency --u 0 --v 7",
+    "analyze --graph file:path8.txt --u 0 --v 7",
+    "bound --graph file:path8-relabelled.txt --u 0 --v 7 --epsilon 0.1",
+    "peak --graph file:path8-relabelled.txt --model adjacency --u 0 --v 7",
+    "analyze --graph file:path8-relabelled.txt --u 0 --v 7",
 ]
 
 
