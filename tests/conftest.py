@@ -27,3 +27,19 @@ def walk_runs(monkeypatch) -> list:
 
     monkeypatch.setattr(glwalk.cospectral, "_closed_walks", counted_walks)
     return runs
+
+
+@pytest.fixture
+def eigh_shapes(monkeypatch) -> list:
+    """The shape of each array np.linalg.eigh is called on during the test."""
+    import numpy as np
+
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    return shapes

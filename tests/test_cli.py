@@ -108,6 +108,18 @@ def test_peak_generalized_143(capsys) -> None:
     assert report["t_star"] < report["threshold"]["t_bound"]
 
 
+@pytest.mark.parametrize("model", ["generalized:143", "generalized:-1.5e2"])
+def test_peak_mirror_pair_sign_pattern_has_no_false_mixed(capsys, model) -> None:
+    # the reversal makes every eigenvector of H even or odd, so a group is mixed
+    # only if it holds an eigenvalue of both sectors; float64 eigenvectors of
+    # the full H mix the localized pair, 5e-9 apart here, at about 1e-5
+    code, out, _ = run_cli(capsys, "peak", "--graph", "path:6", "--model", model, "--u", "0", "--v", "5")
+    assert code == 0
+    signs = json.loads(out)["sign_pattern"]
+    assert "mixed" not in signs
+    assert signs == ["plus", "minus"] * 3
+
+
 def test_peak_laplacian_below_tuned(capsys) -> None:
     _, out_lap, _ = run_cli(
         capsys, "peak", "--graph", "path:6", "--model", "laplacian", "--u", "0", "--v", "5",
@@ -576,6 +588,26 @@ def test_mirror_pairs_count_no_walks(capsys, monkeypatch, argv, decompositions) 
     assert len(calls) == decompositions
     if not argv.startswith("sweep"):
         assert json.loads(out)["cospectrality_order"] == "infinite"
+
+
+def test_peak_decomposes_reversal_symmetric_h_as_sector_blocks(capsys, tmp_path, eigh_shapes) -> None:
+    code, _, _ = run_cli(capsys, "peak", "--graph", "path:60", "--model", "generalized:0.5", "--u", "0", "--v", "59")
+    assert code == 0
+    assert eigh_shapes and all(shape[1:] == (30, 30) for shape in eigh_shapes)
+
+    # a relabelled path and loops the reversal does not swap keep the full eigh
+    g, u, v = relabelled(path_graph(60), 0, 59, np.random.default_rng(61))
+    doc = tmp_path / "path60.txt"
+    doc.write_text(to_edge_list(g), encoding="utf-8")
+    for argv in (
+        ["--graph", f"file:{doc}", "--model", "generalized:0.5", "--u", str(u), "--v", str(v)],
+        ["--graph", "path:6", "--model", "loops:0,2,20", "--u", "0", "--v", "5"],
+    ):
+        eigh_shapes.clear()
+        code, _, _ = run_cli(capsys, "peak", *argv)
+        assert code == 0
+        n = 6 if "path:6" in argv else 60
+        assert eigh_shapes and all(shape == (1, n, n) for shape in eigh_shapes)
 
 
 def test_edge_list_mirror_pair_is_counted_and_cross_checked(capsys, monkeypatch, tmp_path, walk_runs) -> None:

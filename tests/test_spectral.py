@@ -20,6 +20,7 @@ from glwalk import (
     cospectrality,
     cycle_graph,
     eigendecompose,
+    eigendecompose_stack,
     evolution_amplitude,
     fidelity_curve,
     hamiltonian_matrix,
@@ -160,6 +161,85 @@ def test_eigenvectors_are_deterministic() -> None:
     first = eigendecompose(m)
     second = eigendecompose(m)
     assert np.array_equal(first.eigenvectors, second.eigenvectors)
+
+
+def _reversal_symmetric(rng, n):
+    # exactly symmetric and equal to its reversal: each entry is a sum of the
+    # same four floats, in one order or the other
+    a = _random_symmetric(rng, n)
+    return a + a[::-1, ::-1]
+
+
+def _mirror_cases():
+    # seeded matrices equal to their reversal: n = 1, 2, 3, mixed odd and even
+    # sizes up to 60, and walk Hamiltonians of paths and cycles, whose cycle
+    # spectra repeat eigenvalues across the two sectors
+    rng = np.random.default_rng(139)
+    sizes = [1, 2, 3, 60, 59, *(int(n) for n in rng.integers(4, 61, size=16))]
+    for n in sizes:
+        yield _reversal_symmetric(rng, n)
+    for n in (2, 3, 7, 24, 31, 60):
+        k = float(rng.uniform(-3.0, 3.0))
+        yield hamiltonian_matrix(Generalized(k), path_graph(n))
+        yield hamiltonian_matrix(Generalized(k), cycle_graph(max(n, 3)))
+    yield hamiltonian_matrix(Generalized(143.0), path_graph(6))
+
+
+def test_reversal_symmetric_matrices_take_the_mirror_route(eigh_shapes) -> None:
+    eps = np.finfo(float).eps
+    for m in _mirror_cases():
+        n = m.shape[0]
+        assert np.array_equal(m, m[::-1, ::-1]) and np.array_equal(m, m.T)
+        eigh_shapes.clear()
+        dec = eigendecompose(m)
+        half = n // 2
+        # the even block has n - n // 2 rows and the odd block n // 2
+        if n % 2:
+            assert eigh_shapes == [(1, half + 1, half + 1), (1, half, half)]
+        else:
+            assert eigh_shapes == [(2, half, half)]
+        lam, vec = dec.eigenvalues, dec.eigenvectors
+        tol = residual_tolerance(m)
+        assert np.all(np.diff(lam) >= 0.0)
+        assert float(np.max(np.abs(m @ vec - vec * lam))) <= tol
+        assert float(np.max(np.abs(vec.T @ vec - np.eye(n)))) <= ORTHONORMALITY_TOL
+        norm = float(np.max(np.sum(np.abs(m), axis=1)))
+        assert float(np.max(np.abs(lam - np.linalg.eigvalsh(m)))) <= n * eps * max(1.0, norm)
+        # each eigenvector is even or odd under x -> n-1-x, bit for bit; an odd
+        # one is zero at the middle vertex of odd n
+        for column in vec.T:
+            top, bottom = column[:half], column[::-1][:half]
+            if bottom.tobytes() == top.tobytes():
+                continue
+            assert bottom.tobytes() == (-top).tobytes()
+            assert n % 2 == 0 or column[half] == 0.0
+
+
+def test_mirror_route_stacked_equals_single() -> None:
+    rng = np.random.default_rng(149)
+    for n in (1, 2, 3, 8, 13, 40, 41):
+        matrices = [_reversal_symmetric(rng, n) for _ in range(4)]
+        # a slice that is not its own reversal takes the full eigh in any stack
+        plain = _random_symmetric(rng, n)
+        for stack in (matrices, [*matrices[:2], plain, *matrices[2:]] if n > 1 else matrices):
+            for dec, m in zip(eigendecompose_stack(np.stack(stack)), stack):
+                single = eigendecompose(m)
+                assert dec.eigenvalues.tobytes() == single.eigenvalues.tobytes()
+                assert dec.eigenvectors.tobytes() == single.eigenvectors.tobytes()
+                assert dec.group_sizes == single.group_sizes
+
+
+@pytest.mark.parametrize("n", [3, 24, 31])
+def test_matrices_off_the_reversal_take_the_full_eigh(eigh_shapes, n) -> None:
+    rng = np.random.default_rng(151 + n)
+    loop = _reversal_symmetric(rng, n)
+    loop[0, 0] += 1.0  # a loop the reversal does not swap
+    swap = np.arange(n)
+    swap[[0, 1]] = [1, 0]
+    for m in (loop, _reversal_symmetric(rng, n)[np.ix_(swap, swap)]):
+        dec = eigendecompose(m)
+        assert float(np.max(np.abs(m @ dec.eigenvectors - dec.eigenvectors * dec.eigenvalues))) <= residual_tolerance(m)
+    assert eigh_shapes == [(1, n, n)] * 2
 
 
 def _reference_signs(dec, u, v) -> tuple[GroupSign, ...]:

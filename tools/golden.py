@@ -1,7 +1,7 @@
 """Golden corpus of glwalk CLI runs, for byte-identity checks between two trees.
 
     python3 tools/golden.py --out golden.json [--src DIR]
-    python3 tools/golden.py --compare A.json B.json
+    python3 tools/golden.py --compare A.json B.json [--rtol R]
 
 The first form runs every command of a fixed corpus through
 ``python -m glwalk`` in a fresh process with one BLAS/OpenMP thread, importing
@@ -14,15 +14,21 @@ cospectrality order equal to its distance and path:8 in two numberings. The
 commands name each file by a relative path inside a temporary working
 directory so the keys do not depend on where it lives. The second form lists
 the commands whose exit code, stdout or stderr differ between two such files,
-and exits 1 if any do.
+and exits 1 if any do. With --rtol R, two numbers in stdout or stderr are
+equal when |a - b| <= R * max(1, |a|, |b|), while the exit code and all other
+text must still match exactly; each differing command is printed with the
+largest scaled difference |a - b| / max(1, |a|, |b|) of its numbers, or with
+"text" when its exit code or text differs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -210,6 +216,12 @@ EXTRA = [
     "bound --graph file:path8-relabelled.txt --u 0 --v 7 --epsilon 0.1",
     "peak --graph file:path8-relabelled.txt --model adjacency --u 0 --v 7",
     "analyze --graph file:path8-relabelled.txt --u 0 --v 7",
+    # Hamiltonians equal to their reversal x -> n-1-x, decomposed through the even and odd sector
+    # blocks: loops the reversal swaps on an odd path, and K_{3,3}, whose sides it swaps; loops it
+    # does not swap keep the full eigh
+    "peak --graph path:7 --model loops:0,6,20 --u 0 --v 6",
+    "peak --graph path:7 --model loops:0,5,20 --u 0 --v 5",
+    "peak --graph bipartite:3,3 --model adjacency --u 0 --v 5",
 ]
 
 
@@ -254,8 +266,33 @@ def run_corpus(src: Path) -> dict[str, list]:
     return dict(zip(commands, results))
 
 
+#: a decimal number as glwalk prints it, in JSON, CSV or error text
+NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
+
+
 def compare(a: dict, b: dict) -> list[str]:
     return [command for command in sorted(a.keys() | b.keys()) if a.get(command) != b.get(command)]
+
+
+def scaled_difference(x: list | None, y: list | None) -> float | None:
+    """Largest |a - b| / max(1, |a|, |b|) over the numbers of two results of one command.
+
+    None when the exit codes or any text around the numbers differ, or a result is missing.
+    """
+    if x is None or y is None or x[0] != y[0]:
+        return None
+    worst = 0.0
+    for stream_x, stream_y in zip(x[1:], y[1:]):
+        # re.split with one group alternates text and numbers: text, number, text, ...
+        parts_x, parts_y = NUMBER.split(stream_x), NUMBER.split(stream_y)
+        if parts_x[::2] != parts_y[::2]:
+            return None
+        for p, q in zip(parts_x[1::2], parts_y[1::2]):
+            if p != q:
+                p, q = float(p), float(q)
+                scaled = abs(p - q) / max(1.0, abs(p), abs(q))
+                worst = max(worst, math.inf if math.isnan(scaled) else scaled)
+    return worst
 
 
 def main(argv=None) -> int:
@@ -263,12 +300,22 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, help="write the corpus results here")
     parser.add_argument("--src", type=Path, default=REPO_SRC, help="directory that holds the glwalk package")
     parser.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"))
+    parser.add_argument("--rtol", type=float, help="with --compare, the relative tolerance on numbers")
     args = parser.parse_args(argv)
+    if args.rtol is not None and not args.compare:
+        parser.error("--rtol needs --compare")
     if args.compare:
         a, b = (json.loads(path.read_text(encoding="utf-8")) for path in args.compare)
         differing = compare(a, b)
-        for command in differing:
-            print(command)
+        if args.rtol is None:
+            for command in differing:
+                print(command)
+        else:
+            scaled = {command: scaled_difference(a.get(command), b.get(command)) for command in differing}
+            differing = [command for command, d in scaled.items() if d is None or d > args.rtol]
+            for command in differing:
+                d = scaled[command]
+                print(f"{command}\t{'text' if d is None else format(d, '.3g')}")
         print(f"{len(differing)} of {len(a.keys() | b.keys())} commands differ", file=sys.stderr)
         return 1 if differing else 0
     if args.out is None:
