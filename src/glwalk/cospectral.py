@@ -192,11 +192,17 @@ def cospectrality(
 
 
 def sign_pattern(dec: EigenDecomposition, u: int, v: int) -> SignPattern:
-    """Classify each eigenspace as PLUS, MINUS, NULL, or MIXED for the pair."""
-    vectors = dec.eigenvectors
-    # column r of pu is P_r e_u, of pv P_r e_v
-    pu, pv = group_sums(vectors * vectors[[u, v], None, :], dec.group_sizes)
-    small = (np.max(np.abs([pu, pv, pu - pv, pu + pv]), axis=1) <= SIGN_TOL).tolist()
+    """Classify each eigenspace as PLUS, MINUS, NULL, or MIXED for the pair.
+
+    With P_r the projector onto group r: NULL where P_r e_u and P_r e_v both
+    have norm at most SIGN_TOL, else PLUS where P_r (e_u - e_v) has, MINUS
+    where P_r (e_u + e_v) has, MIXED otherwise. ||P_r x||^2 = x^T P_r x is the
+    group sum of the squared entries of x^T V, so the four squared norms are
+    O(n) group sums over rows u and v, compared with SIGN_TOL**2.
+    """
+    x, y = dec.eigenvectors[u], dec.eigenvectors[v]
+    norms = group_sums(np.array([x * x, y * y, (x - y) ** 2, (x + y) ** 2]), dec.group_sizes)
+    small = (norms <= SIGN_TOL**2).tolist()
     signs = []
     for null_u, null_v, plus, minus in zip(*small):
         if null_u and null_v:

@@ -14,18 +14,26 @@ Peak searches are step-wise; a strategy checks its own settings when
 built. Starting a search seeds it and scans its sample window, on stacked
 arrays for any number of spectra: one group_sums over all of them for the
 two-level candidates and one batched window product per stack of scans. A
-started search keeps only its phases -i*lambda and weights V[u]*V[v]; its
-steps yield each time the golden-section refine needs and receive
-|U(t)_{u,v}| there. Started searches run in lockstep: each round evaluates
-every pending time with one np.exp over the stacked phases and one
-(K,1,n) @ (K,n,1) np.matmul. peak_fidelity is the one-search case;
-sweep_peaks starts its searches a block of k values at a time and runs all
-of them in one lockstep. The stacked forms keep every result bit-identical
-to the search run alone: matmul takes each slice's product with the same
-dot as the 2-D product (a (K,n) row-wise product or a sum rounds
-differently), every other stacked operation is elementwise or per row, and
-reported magnitudes go through Python abs, which np.abs on a complex array
-does not always match.
+started search keeps only its phases -i*lambda, weights w = V[u]*V[v] and
+derivative weights -i*lambda*w and -lambda**2*w; its steps yield each time
+to evaluate and receive (|U|, U, U', U'') there. The refine is a
+safeguarded Newton ascent on |U|^2 from the best window sample, inside the
+bracket between that sample's neighbours: a step is kept only where |U|
+rises, so the refined fidelity is never below the best sample, and the
+trust radius starts at min(bracket width, 1/(2*spread of the spectrum)),
+short of the fastest oscillation. In the paper regime the bracket spans
+many bulk oscillations, and the ascent climbs the one at the sample.
+Started searches run in lockstep: each round evaluates every pending time
+with one np.exp over the stacked phases, one (K,1,n) @ (K,n,1) np.matmul
+for U and one (K,1,n) @ (K,n,2) np.matmul for U' and U''. peak_fidelity is the one-search case; sweep_peaks starts its
+searches a block of k values at a time and runs all of them in one
+lockstep. The stacked forms keep every result bit-identical to the search
+run alone: matmul takes each slice's product with the same dot or gemv as
+the 2-D product (a (K,n) row-wise product or a sum rounds differently, and
+U is not read off the derivative product, whose gemv rounds differently
+from the dot that evolution_amplitude takes), every other stacked
+operation is elementwise or per row, and reported magnitudes go through
+Python abs, which np.abs on a complex array does not always match.
 """
 
 from __future__ import annotations
@@ -41,14 +49,15 @@ from .graphs import Graph
 from .hamiltonians import Generalized, hamiltonian_stack
 from .spectral import EigenDecomposition, eigendecompose_stack, group_sums
 
-# golden-section refinement stops at this relative bracket width
+#: the refine's Newton ascent stops once its next step or its trust radius is
+#: within REFINE_RELATIVE_WIDTH * max(1, |t|) over the bracket
 REFINE_RELATIVE_WIDTH = 1e-12
 #: a stack holds at most this many matrix entries or scan samples: a sweep
 #: decomposes max(1, SWEEP_BLOCK_ENTRIES // max(n*n, refine samples)) k values
 #: at once, and scans of S samples run SWEEP_BLOCK_ENTRIES // S at a time
 SWEEP_BLOCK_ENTRIES = 2**14
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -208,41 +217,57 @@ def two_level_candidate_time(dec: EigenDecomposition, u: int, v: int) -> float:
     return candidate
 
 
-def _golden_max(a: float, b: float):
-    # bracketed golden-section maximization; assumes one dominant peak in [a, b];
-    # yields each time to evaluate and receives |U| there
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = (yield c), (yield d)
-    while (b - a) > REFINE_RELATIVE_WIDTH * max(1.0, abs(a), abs(b)):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = yield c
+def _ascend(t: float, value: tuple, lo: float, hi: float, radius: float):
+    # safeguarded Newton ascent on F = |U|^2 from the evaluated point t inside
+    # [lo, hi]; value is (|U|, U, U', U'') at t. With g = Re(conj(U) U') and
+    # h = |U'|^2 + Re(conj(U) U''), F' = 2g and F'' = 2h. A step is the Newton
+    # step -g/h where h < 0 and the trust radius along g elsewhere, clipped to
+    # the radius and the bracket; it is kept only where |U| rises, and
+    # otherwise the radius becomes half the rejected step. The ascent stops
+    # at a step within REFINE_RELATIVE_WIDTH, or at one whose predicted rise
+    # 2*g*s + h*s**2 of F is at most (2|U| + eps) * eps, what moving |U| <= 1
+    # by one rounding unit changes F by. Yields each time to evaluate,
+    # receives its value and returns the best point and its |U|.
+    tol = REFINE_RELATIVE_WIDTH * max(1.0, abs(lo), abs(hi))
+    f, g, h = _slope_curvature(value)
+    while radius > tol:
+        step = -g / h if h < 0 else math.copysign(radius, g)
+        trial = min(hi, max(lo, t + min(radius, max(-radius, step))))
+        step = trial - t
+        if abs(step) <= tol or (2.0 * g + h * step) * step <= (2.0 * f + _EPS) * _EPS:
+            break
+        value = yield trial
+        if value[0] > f:
+            t, (f, g, h) = trial, _slope_curvature(value)
         else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = yield d
-    t = 0.5 * (a + b)
-    return t, (yield t)
+            radius = 0.5 * abs(step)
+    return t, f
 
 
-def _search_steps(t_candidate: float | None, t_sample: float, bracket_lo: float, bracket_hi: float):
+def _slope_curvature(value: tuple) -> tuple[float, float, float]:
+    # |U| and half the first and second derivatives of |U|^2
+    magnitude, u, du, d2u = value
+    return magnitude, (u.conjugate() * du).real, (du.conjugate() * du).real + (u.conjugate() * d2u).real
+
+
+def _search_steps(
+    t_candidate: float | None, t_sample: float, bracket_lo: float, bracket_hi: float, radius: float
+):
     # peak_fidelity's comparisons in order; yields each time to evaluate,
-    # receives |U| there and returns the PeakResult
+    # receives (|U|, U, U', U'') there and returns the PeakResult
     if t_candidate is None:
         seed_method = "grid"
         best_t, best_f = 0.0, -1.0
     else:
         seed_method = "two-level"
-        best_t, best_f = t_candidate, (yield t_candidate)
+        best_t, best_f = t_candidate, (yield t_candidate)[0]
     # the reported fidelity is always a pointwise amplitude value
-    f_sample = yield t_sample
-    if f_sample > best_f:
-        best_t, best_f = t_sample, f_sample
+    sample = yield t_sample
+    if sample[0] > best_f:
+        best_t, best_f = t_sample, sample[0]
         if seed_method == "two-level":
             seed_method = "refined"
-    t_refined, f_refined = yield from _golden_max(bracket_lo, bracket_hi)
+    t_refined, f_refined = yield from _ascend(t_sample, sample, bracket_lo, bracket_hi, radius)
     method = seed_method
     if f_refined > best_f:
         best_t, best_f = t_refined, f_refined
@@ -250,17 +275,19 @@ def _search_steps(t_candidate: float | None, t_sample: float, bracket_lo: float,
     return PeakResult(t_star=best_t, fidelity=best_f, method=method)
 
 
-#: a started search: phases -1j * eigenvalues and weights V[u] * V[v], so that
-#: |U(t)_{u,v}| is abs(exp(phases * t) @ weights), and the steps generator that
-#: yields the times to evaluate
-_Search = tuple[np.ndarray, np.ndarray, Generator]
+#: a started search: phases -1j * eigenvalues, weights V[u] * V[v] and the
+#: (n, 2) derivative weights [phases, -eigenvalues**2] * weights, so that
+#: U(t)_{u,v} is exp(phases * t) @ weights and (U', U'') is exp(phases * t) @
+#: derivative weights, and the steps generator that yields the times to evaluate
+_Search = tuple[np.ndarray, np.ndarray, np.ndarray, Generator]
 
 
 def _scan(
     strategy: GridSearch | TwoLevelSearch, eigenvalues: np.ndarray, weights: np.ndarray, candidates: list
 ) -> list[Generator]:
     # the steps of each row's search: its window scanned, the best sample
-    # and its neighbors picked as in the one-search form
+    # and its neighbors picked as in the one-search form; the ascent's trust
+    # radius starts at the smaller of the bracket width and 1/(2*spread)
     if isinstance(strategy, TwoLevelSearch):
         samples, t_candidates = strategy.refine_samples, np.array(candidates)
         start = t_candidates * (1.0 - strategy.refine_window_fraction)
@@ -270,10 +297,12 @@ def _scan(
         samples, start = strategy.samples, np.zeros(len(candidates))
         stop = np.array([strategy.t_max] * len(candidates))
     times, amplitudes = _uniform_series(eigenvalues, weights, start, stop, samples)
+    spreads = (eigenvalues[:, -1] - eigenvalues[:, 0]).tolist()
     steps = []
     for i, j in enumerate(np.argmax(np.abs(amplitudes), axis=1).tolist()):
-        lo, hi = max(j - 1, 0), min(j + 1, samples - 1)
-        steps.append(_search_steps(candidates[i], float(times[i, j]), float(times[i, lo]), float(times[i, hi])))
+        lo, hi = float(times[i, max(j - 1, 0)]), float(times[i, min(j + 1, samples - 1)])
+        radius = min(hi - lo, 0.5 / spreads[i]) if spreads[i] > 0 else hi - lo
+        steps.append(_search_steps(candidates[i], float(times[i, j]), lo, hi, radius))
     return steps
 
 
@@ -310,6 +339,7 @@ def _start_searches(
         members.setdefault(chosen, []).append(i)
     weights = pairs[:, 0] * pairs[:, 1]
     phases = -1j * eigenvalues
+    derivatives = np.stack([phases * weights, -(eigenvalues**2) * weights], axis=-1)
     searches = [None] * len(decs)
     for chosen, indices in members.items():
         samples = chosen.refine_samples if isinstance(chosen, TwoLevelSearch) else chosen.samples
@@ -320,7 +350,7 @@ def _start_searches(
             rows = stack if len(stack) < len(decs) else slice(None)
             steps = _scan(chosen, eigenvalues[rows], weights[rows], [candidates[i] for i in stack])
             for i, search_steps in zip(stack, steps):
-                searches[i] = (phases[i], weights[i], search_steps)
+                searches[i] = (phases[i], weights[i], derivatives[i], search_steps)
     return searches
 
 
@@ -328,27 +358,32 @@ def _run_searches(searches: list[_Search]) -> list[PeakResult]:
     """Run started searches over spectra of one size in lockstep; results in input order.
 
     Each round evaluates every pending time at once (see the module
-    docstring). The last search left is evaluated alone with the same dot,
-    which skips the stacking a single search does not need.
+    docstring). The last search left is evaluated alone with the same dot
+    and product, which skips the stacking a single search does not need.
     """
     results: list[PeakResult | None] = [None] * len(searches)
     active = list(range(len(searches)))
-    times = [next(steps) for _, _, steps in searches]
-    phases = weights = None
+    times = [next(search[-1]) for search in searches]
+    phases = weights = derivatives = None
     while active:
         if len(active) == 1:
-            search_phases, search_weights, _ = searches[active[0]]
-            values = [np.exp(search_phases * times[0]) @ search_weights]
+            search_phases, search_weights, search_derivatives, _ = searches[active[0]]
+            block = np.exp(search_phases * times[0])
+            values = [block @ search_weights]
+            slopes = [(block @ search_derivatives).tolist()]
         else:
             if phases is None or len(phases) != len(active):
                 phases = np.stack([searches[i][0] for i in active])
                 weights = np.stack([searches[i][1] for i in active]).astype(complex)[:, :, None]
-            block = np.exp(phases * np.array(times)[:, None])
-            values = np.matmul(block[:, None, :], weights).ravel().tolist()
+                derivatives = np.stack([searches[i][2] for i in active])
+            block = np.exp(phases * np.array(times)[:, None])[:, None, :]
+            values = np.matmul(block, weights).ravel().tolist()
+            slopes = np.matmul(block, derivatives)[:, 0].tolist()
         still, times = [], []
-        for i, value in zip(active, values):
+        for i, value, (slope, curvature) in zip(active, values, slopes):
+            value = complex(value)
             try:
-                times.append(searches[i][2].send(abs(complex(value))))
+                times.append(searches[i][-1].send((abs(value), value, slope, curvature)))
                 still.append(i)
             except StopIteration as done:
                 results[i] = done.value

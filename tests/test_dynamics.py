@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from generators import random_graph, random_model, structured_graph
+from generators import mirror_pair, random_graph, random_model, structured_graph
 from glwalk import (
     Adjacency,
     DegenerateGapError,
@@ -30,7 +31,7 @@ from glwalk import (
     two_level_candidate_time,
 )
 from glwalk.dynamics import (
-    _INVPHI,
+    REFINE_RELATIVE_WIDTH,
     SWEEP_BLOCK_ENTRIES,
     _linspace_rows,
     _run_searches,
@@ -388,14 +389,45 @@ def _reference_window(dec, u, v, start, stop, samples):
     return float(times[j]), float(times[max(j - 1, 0)]), float(times[min(j + 1, samples - 1)])
 
 
-def _first_steps(search, count):
-    # the first count times a started search asks for; the values fed back
-    # do not change them
-    _, _, steps = search
+def _reference_value(dec, u, v, t):
+    # (|U|, U, U', U'') at t, as a search receives it
+    weights = dec.eigenvectors[u] * dec.eigenvectors[v]
+    phases = -1j * dec.eigenvalues
+    terms = np.exp(phases * t) * weights
+    amplitude = evolution_amplitude(dec, t, u, v)
+    return abs(amplitude), amplitude, complex(np.sum(phases * terms)), complex(np.sum(phases**2 * terms))
+
+
+def _first_steps(search, count, value_at):
+    # the first count times a started search asks for (fewer if it ends),
+    # fed value_at(t) for each time t
+    *_, steps = search
     times = [next(steps)]
-    while len(times) < count:
-        times.append(steps.send(1.0))
+    try:
+        while len(times) < count:
+            times.append(steps.send(value_at(times[-1])))
+    except StopIteration:
+        pass
     return times
+
+
+def _first_ascent_time(dec, value, t, lo, hi):
+    # the ascent's first trial from the sample t, if it asks for one: the
+    # Newton step on |U|^2 where it is concave, a trust-radius step along the
+    # slope elsewhere; none when the step is within the stopping width or the
+    # rise it predicts is within one rounding unit
+    f, amp, slope, curvature = value
+    g = (amp.conjugate() * slope).real
+    h = (slope.conjugate() * slope).real + (amp.conjugate() * curvature).real
+    spread = float(dec.eigenvalues[-1] - dec.eigenvalues[0])
+    radius = min(hi - lo, 0.5 / spread) if spread > 0 else hi - lo
+    step = -g / h if h < 0 else math.copysign(radius, g)
+    trial = min(hi, max(lo, t + min(radius, max(-radius, step))))
+    step, eps = trial - t, float(np.finfo(float).eps)
+    tol = REFINE_RELATIVE_WIDTH * max(1.0, abs(lo), abs(hi))
+    if abs(step) <= tol or (2 * g + h * step) * step <= (2 * f + eps) * eps:
+        return []
+    return [trial]
 
 
 def _stack_cases():
@@ -429,6 +461,7 @@ def test_stacked_stages_equal_single() -> None:
             probes = _start_searches(decs, u, v, TwoLevelSearch(), grid)
             peaks = _run_searches(searches)
             for model, h, dec, probe, peak in zip(models, stacked, decs, probes, peaks):
+                value_at = functools.partial(_reference_value, dec, u, v)
                 alone = hamiltonian_matrix(model, g)
                 assert np.array_equal(h, alone) and np.array_equal(np.signbit(h), np.signbit(alone))
                 single = eigendecompose(alone)
@@ -440,16 +473,17 @@ def test_stacked_stages_equal_single() -> None:
                     t_candidate = _reference_candidate(single, u, v)
                     assert two_level_candidate_time(single, u, v) == t_candidate
                     window = (t_candidate * 0.5, t_candidate * 1.5, strategy.refine_samples)
-                    asked = _first_steps(probe, 4)
+                    asked = _first_steps(probe, 3, value_at)
                     assert asked[0] == t_candidate
                     asked = asked[1:]
                 else:
                     strategy = grid
                     window = (0.0, grid.t_max, grid.samples)
-                    asked = _first_steps(probe, 3)
+                    asked = _first_steps(probe, 2, value_at)
                 t_sample, lo, hi = _reference_window(single, u, v, *window)
-                # the golden-section refine starts at these two points of the bracket
-                assert asked == [t_sample, hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)]
+                # the ascent starts from the best sample of the bracket
+                first = _first_ascent_time(single, value_at(t_sample), t_sample, lo, hi)
+                assert asked == [t_sample, *first]
                 assert peak == peak_fidelity(single, u, v, strategy)
             # the stacked window scan row by row; widths 44 and 31 columns
             weights = np.array([dec.eigenvectors[u] * dec.eigenvectors[v] for dec in decs])
@@ -470,3 +504,54 @@ def test_sweep_peaks_equal_peak_fidelity_per_k() -> None:
             dec = _decompose(Generalized(k), g)
             strategy = TwoLevelSearch() if len(dec.group_sizes) > 1 else grid
             assert peak == peak_fidelity(dec, u, v, strategy)
+
+
+def _refine_cases():
+    """(decomposition, u, v, strategy): seeded graphs under both strategies, and the paper regime."""
+    rng = np.random.default_rng(97)
+    for i in range(40):
+        g = structured_graph(rng) if i % 2 else random_graph(rng)
+        u, v = mirror_pair(g, rng) if i % 2 else (int(x) for x in rng.choice(g.n, size=2, replace=False))
+        dec = _decompose(random_model(rng, g), g)
+        if len(dec.group_sizes) > 1:
+            yield dec, u, v, TwoLevelSearch()
+        yield dec, u, v, GridSearch(30.0, 3001)
+    # readout times from 3e4 (path:4) to 2.5e9 (path:6 at k = 200)
+    for n in (4, 5, 6):
+        for k in (143.0, -143.0, 200.0):
+            yield _decompose(Generalized(k), path_graph(n)), 0, n - 1, TwoLevelSearch()
+
+
+def _window(dec, u, v, strategy):
+    if isinstance(strategy, GridSearch):
+        return 0.0, strategy.t_max, strategy.samples
+    t_candidate = two_level_candidate_time(dec, u, v)
+    fraction = strategy.refine_window_fraction
+    return t_candidate * (1.0 - fraction), t_candidate * (1.0 + fraction), strategy.refine_samples
+
+
+def test_refine_contract() -> None:
+    eps = float(np.finfo(float).eps)
+    stationary = scanned = 0
+    for dec, u, v, strategy in _refine_cases():
+        peak = peak_fidelity(dec, u, v, strategy)
+        t_sample, lo, hi = _reference_window(dec, u, v, *_window(dec, u, v, strategy))
+        # never below the best window sample
+        assert peak.fidelity >= abs(evolution_amplitude(dec, t_sample, u, v))
+        spread = float(dec.eigenvalues[-1] - dec.eigenvalues[0])
+        if spread * (hi - lo) <= math.pi:
+            # no bulk oscillation inside the bracket: the ascent reaches its top
+            _, best = dense_peak(dec, u, v, np.linspace(lo, hi, 10001))
+            assert peak.fidelity >= best - 1e-12
+            scanned += 1
+        if peak.method != "two-level" and lo < peak.t_star < hi and peak.fidelity > 1e-8:
+            # an interior refined point is a maximum of |U|^2: F' = 2g ~ 0 and F'' = 2h < 0,
+            # with the Newton distance g/h within the ascent's stopping distance
+            f, amp, slope, curvature = _reference_value(dec, u, v, peak.t_star)
+            g = (amp.conjugate() * slope).real
+            h = abs(slope) ** 2 + (amp.conjugate() * curvature).real
+            assert h < 0
+            tol = REFINE_RELATIVE_WIDTH * max(1.0, abs(lo), abs(hi))
+            assert abs(g / h) <= 2.0 * max(tol, math.sqrt((2.0 * f + eps) * eps / -h))
+            stationary += 1
+    assert scanned >= 40 and stationary >= 40
