@@ -273,8 +273,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=["two-level", "grid"], default="two-level")
     p.add_argument("--tmax", type=float, default=100.0, help="grid strategy horizon")
     p.add_argument("--samples", type=int, default=100001, help="grid strategy sample count")
-    p.add_argument("--window", type=float, default=0.5, help="two-level refinement window fraction")
-    p.add_argument("--refine-samples", type=int, default=2000)
+    p.add_argument(
+        "--window", type=float, default=0.5, help="two-level refinement window fraction (uncertified searches only)"
+    )
+    p.add_argument("--refine-samples", type=int, default=2000, help="window samples (uncertified searches only)")
     p.add_argument("--epsilon", type=float, default=0.1, help="epsilon for the reported threshold")
     p.set_defaults(handler=_cmd_peak)
 

@@ -11,29 +11,45 @@ sqrt(S) x n x sqrt(S) complex matrix product, with O(sqrt(S)*n + S) memory,
 in place of S*n exponentials held at once.
 
 Peak searches are step-wise; a strategy checks its own settings when
-built. Starting a search seeds it and scans its sample window, on stacked
-arrays for any number of spectra: one group_sums over all of them for the
-two-level candidates and one batched window product per stack of scans. A
-started search keeps only its phases -i*lambda, weights w = V[u]*V[v] and
-derivative weights -i*lambda*w and -lambda**2*w; its steps yield each time
-to evaluate and receive (|U|, U, U', U'') there. The refine is a
-safeguarded Newton ascent on |U|^2 from the best window sample, inside the
-bracket between that sample's neighbours: a step is kept only where |U|
-rises, so the refined fidelity is never below the best sample, and the
-trust radius starts at min(bracket width, 1/(2*spread of the spectrum)),
-short of the fastest oscillation. In the paper regime the bracket spans
-many bulk oscillations, and the ascent climbs the one at the sample.
+built. Starting a search seeds it and, unless it is certified, scans its
+sample window, on stacked arrays for any number of spectra: one group_sums
+over all of them for the two-level candidates and certificates and one
+batched window product per stack of scans.
+
+The certificate: with U(t) = sum_r c_r * exp(-i*mu_r*t), c_r = (P_r)_{uv},
+take the two groups r, s most localized on {u, v}, the bulk weight
+beta = sum of |c| over the other groups and the floor
+L = |c_r| + |c_s| - beta. Where c_r*c_s < 0, |U| at the two-level
+candidate pi/|mu_r - mu_s| lies in [L, L + 2*beta], up to the phase
+budget max|lambda|*t*eps, and sup_t |U| <= L + 2*beta <= 1 (the two-level
+picture of Kempton, Lippner and Yau, QIC 2017). Where also
+L >= 1 - CERTIFIED_SHORTFALL, no search can beat that readout by more than
+CERTIFIED_SHORTFALL, so the search is certified: it evaluates the
+candidate alone and scans nothing.
+
+Every other search scans its window. A started search keeps only its
+phases -i*lambda, weights w = V[u]*V[v] and derivative weights
+-i*lambda*w and -lambda**2*w; its steps yield each time to evaluate and
+receive (|U|, U, U', U'') there. The refine is a safeguarded Newton ascent
+on |U|^2 from the best window sample, inside the bracket between that
+sample's neighbours: a step is kept only where |U| rises, so the refined
+fidelity is never below the best sample, and the trust radius starts at
+min(bracket width, 1/(2*spread of the spectrum)), short of the fastest
+oscillation. Where an uncertified bracket spans many bulk oscillations,
+the ascent climbs the one at the sample.
+
 Started searches run in lockstep: each round evaluates every pending time
 with one np.exp over the stacked phases, one (K,1,n) @ (K,n,1) np.matmul
-for U and one (K,1,n) @ (K,n,2) np.matmul for U' and U''. peak_fidelity is the one-search case; sweep_peaks starts its
-searches a block of k values at a time and runs all of them in one
-lockstep. The stacked forms keep every result bit-identical to the search
-run alone: matmul takes each slice's product with the same dot or gemv as
-the 2-D product (a (K,n) row-wise product or a sum rounds differently, and
-U is not read off the derivative product, whose gemv rounds differently
-from the dot that evolution_amplitude takes), every other stacked
-operation is elementwise or per row, and reported magnitudes go through
-Python abs, which np.abs on a complex array does not always match.
+for U and one (K,1,n) @ (K,n,2) np.matmul for U' and U''. peak_fidelity
+is the one-search case; sweep_peaks starts its searches a block of k
+values at a time and runs all of them in one lockstep. The stacked forms
+keep every result bit-identical to the search run alone: matmul takes
+each slice's product with the same dot or gemv as the 2-D product (a
+(K,n) row-wise product or a sum rounds differently, and U is not read off
+the derivative product, whose gemv rounds differently from the dot that
+evolution_amplitude takes), every other stacked operation is elementwise
+or per row, and reported magnitudes go through Python abs, which np.abs
+on a complex array does not always match.
 """
 
 from __future__ import annotations
@@ -56,6 +72,12 @@ REFINE_RELATIVE_WIDTH = 1e-12
 #: decomposes max(1, SWEEP_BLOCK_ENTRIES // max(n*n, refine samples)) k values
 #: at once, and scans of S samples run SWEEP_BLOCK_ENTRIES // S at a time
 SWEEP_BLOCK_ENTRIES = 2**14
+#: a TwoLevelSearch whose two-level floor L is at least 1 - CERTIFIED_SHORTFALL
+#: reads |U| at its candidate time alone (see the module docstring). That |U|
+#: lies in [L, L + 2*beta] and sup_t |U| <= L + 2*beta <= 1, so no search could
+#: report more than CERTIFIED_SHORTFALL above it: the readout gives up at most
+#: 0.1% of the amplitude and skips the window scan and the ascent
+CERTIFIED_SHORTFALL = 1e-3
 
 _EPS = float(np.finfo(float).eps)
 
@@ -73,7 +95,9 @@ class PeakResult:
     """Best |U(t)_{u,v}| found and the time it was found at.
 
     fidelity is the amplitude magnitude |U|, not the probability |U|^2.
-    method records which search stage produced the returned point.
+    method records which search stage produced the returned point: "grid",
+    "refined", or "two-level" for the two-level candidate time, which a
+    certified search (see TwoLevelSearch) returns as its only evaluation.
     """
 
     t_star: float
@@ -95,6 +119,14 @@ class GridSearch:
 
 @dataclass(frozen=True)
 class TwoLevelSearch:
+    """Seed at the two-level candidate time t_c and refine inside t_c * (1 +- refine_window_fraction).
+
+    A search whose spectrum certifies the readout (floor L >= 1 -
+    CERTIFIED_SHORTFALL, see the module docstring) returns |U(t_c)|, which
+    lies in [L, L + 2*beta] and at most CERTIFIED_SHORTFALL below sup_t |U|,
+    and scans nothing; the window settings shape only uncertified searches.
+    """
+
     refine_window_fraction: float = 0.5
     refine_samples: int = 2000
 
@@ -176,28 +208,42 @@ def fidelity_curve(dec: EigenDecomposition, u: int, v: int, t_max: float, sample
 
 def _two_level_candidates(
     decs: Sequence[EigenDecomposition], eigenvalues: np.ndarray, pairs: np.ndarray
-) -> list[float | DegenerateGapError]:
-    """two_level_candidate_time of each decomposition, or the error it raises.
+) -> tuple[list[float | DegenerateGapError], list[bool]]:
+    """two_level_candidate_time of each decomposition, or the error it raises, and whether it is certified.
 
     eigenvalues stacks the spectra (K, n) and pairs the rows V[u], V[v]
     (K, 2, n). One group_sums over all K spectra gives every group's pair
-    mass (P_r)_{uu} + (P_r)_{vv} and eigenvalue sum.
+    mass (P_r)_{uu} + (P_r)_{vv}, coupling c_r = (P_r)_{uv} and eigenvalue
+    sum. A candidate is certified where the top two groups r, s by pair
+    mass have c_r * c_s < 0 and the floor L = |c_r| + |c_s| - beta is at
+    least 1 - CERTIFIED_SHORTFALL, with beta the sum of |c| over the other
+    groups; the floors of all K spectra are taken at once.
     """
     sizes = [size for dec in decs for size in dec.group_sizes]
-    rows = np.concatenate([(pairs**2).transpose(1, 0, 2), eigenvalues[None]]).reshape(3, -1)
-    diag_u, diag_v, sums = group_sums(rows, sizes)
+    rows = np.concatenate(
+        [(pairs**2).transpose(1, 0, 2), (pairs[:, 0] * pairs[:, 1])[None], eigenvalues[None]]
+    ).reshape(4, -1)
+    diag_u, diag_v, couplings, sums = group_sums(rows, sizes)
     masses = diag_u + diag_v
     means = (sums / sizes).tolist()
     candidates: list[float | DegenerateGapError] = []
-    stop = 0
+    starts, tops, stop = [], [], 0
     for dec in decs:
         start, stop = stop, stop + len(dec.group_sizes)
+        starts.append(start)
         if stop - start < 2:
             candidates.append(DegenerateGapError("fewer than two eigenvalue groups; no beat frequency exists"))
+            tops.append((start, start))
             continue
         first, second = (start + np.argsort(-masses[start:stop], kind="stable")[:2]).tolist()
         candidates.append(math.pi / abs(means[first] - means[second]))
-    return candidates
+        tops.append((first, second))
+    first, second = np.array(tops).T
+    magnitudes = np.abs(couplings)
+    # L = |c_r| + |c_s| - beta = 2 * (|c_r| + |c_s|) - the sum of |c| over the spectrum's groups
+    floors = (2.0 * (magnitudes[first] + magnitudes[second]) - np.add.reduceat(magnitudes, starts)).tolist()
+    signs = (couplings[first] * couplings[second]).tolist()
+    return candidates, [sign < 0 and floor >= 1.0 - CERTIFIED_SHORTFALL for sign, floor in zip(signs, floors)]
 
 
 def two_level_candidate_time(dec: EigenDecomposition, u: int, v: int) -> float:
@@ -211,7 +257,7 @@ def two_level_candidate_time(dec: EigenDecomposition, u: int, v: int) -> float:
     back to a grid search.
     """
     pairs = np.array([(dec.eigenvectors[u], dec.eigenvectors[v])])
-    candidate = _two_level_candidates([dec], dec.eigenvalues[None], pairs)[0]
+    candidate = _two_level_candidates([dec], dec.eigenvalues[None], pairs)[0][0]
     if isinstance(candidate, DegenerateGapError):
         raise candidate
     return candidate
@@ -248,6 +294,11 @@ def _slope_curvature(value: tuple) -> tuple[float, float, float]:
     # |U| and half the first and second derivatives of |U|^2
     magnitude, u, du, d2u = value
     return magnitude, (u.conjugate() * du).real, (du.conjugate() * du).real + (u.conjugate() * d2u).real
+
+
+def _readout_steps(t_candidate: float):
+    # a certified search: the one time to evaluate is the candidate
+    return PeakResult(t_star=t_candidate, fidelity=(yield t_candidate)[0], method="two-level")
 
 
 def _search_steps(
@@ -315,8 +366,9 @@ def _start_searches(
 ) -> list[_Search]:
     """The started search of each decomposition (all of one size), stage by stage on stacked arrays.
 
-    Seeds each search and scans its sample window, so it raises what
-    peak_fidelity raises before any time is evaluated. A
+    Seeds each search and scans the sample windows of the uncertified
+    ones, so it raises what peak_fidelity raises before any time is
+    evaluated. A
     decomposition whose two-level candidate raises DegenerateGapError is
     searched with fallback instead; without a fallback the error propagates.
     Scans of S samples run max(1, SWEEP_BLOCK_ENTRIES // S) decompositions
@@ -326,9 +378,13 @@ def _start_searches(
     eigenvalues = np.array([dec.eigenvalues for dec in decs])
     pairs = np.array([(dec.eigenvectors[u], dec.eigenvectors[v]) for dec in decs])
     if isinstance(strategy, TwoLevelSearch):
-        candidates = _two_level_candidates(decs, eigenvalues, pairs)
+        candidates, certified = _two_level_candidates(decs, eigenvalues, pairs)
     else:
-        candidates = [None] * len(decs)
+        candidates, certified = [None] * len(decs), [False] * len(decs)
+    weights = pairs[:, 0] * pairs[:, 1]
+    phases = -1j * eigenvalues
+    derivatives = np.stack([phases * weights, -(eigenvalues**2) * weights], axis=-1)
+    searches = [None] * len(decs)
     members: dict[GridSearch | TwoLevelSearch, list[int]] = {}
     for i, candidate in enumerate(candidates):
         chosen = strategy
@@ -336,11 +392,10 @@ def _start_searches(
             if fallback is None:
                 raise candidate
             chosen, candidates[i] = fallback, None
+        elif certified[i]:
+            searches[i] = (phases[i], weights[i], derivatives[i], _readout_steps(candidate))
+            continue
         members.setdefault(chosen, []).append(i)
-    weights = pairs[:, 0] * pairs[:, 1]
-    phases = -1j * eigenvalues
-    derivatives = np.stack([phases * weights, -(eigenvalues**2) * weights], axis=-1)
-    searches = [None] * len(decs)
     for chosen, indices in members.items():
         samples = chosen.refine_samples if isinstance(chosen, TwoLevelSearch) else chosen.samples
         chunk = max(1, SWEEP_BLOCK_ENTRIES // samples)
@@ -397,8 +452,11 @@ def peak_fidelity(
     """Search for the peak of |U(t)_{u,v}|.
 
     TwoLevelSearch seeds at the two-level candidate time and refines inside
-    t* * (1 +- refine_window_fraction); GridSearch takes the best of a uniform
-    scan of [0, t_max] and refines between the neighbors of the best sample.
+    t* * (1 +- refine_window_fraction), or, where the spectrum certifies the
+    readout, returns |U| at the candidate alone (method "two-level", within
+    [L, L + 2*beta] and CERTIFIED_SHORTFALL of the supremum); GridSearch
+    takes the best of a uniform scan of [0, t_max] and refines between the
+    neighbors of the best sample.
     """
     return _run_searches(_start_searches([dec], u, v, strategy))[0]
 
@@ -414,8 +472,9 @@ def sweep_peaks(graph: Graph, u: int, v: int, ks: Sequence[float], fallback: Gri
     """peak_fidelity under Generalized(k) for each k, with TwoLevelSearch; fallback on a degenerate gap.
 
     The k values are decomposed and seeded a block at a time, and every k's
-    refine then runs in one lockstep. Each result equals peak_fidelity of
-    its k alone.
+    refine then runs in one lockstep; a k whose spectrum certifies the
+    two-level readout is read at its candidate time alone. Each result
+    equals peak_fidelity of its k alone.
     """
     # a block holds at most SWEEP_BLOCK_ENTRIES matrix entries or window samples
     block = max(1, SWEEP_BLOCK_ENTRIES // max(graph.n**2, TwoLevelSearch().refine_samples))

@@ -3,14 +3,16 @@
 Everything here deliberately avoids the code paths under test: the matrix
 exponential is a scaling-and-squaring Taylor series (no eigendecomposition),
 walk counts come from full integer matrix powers (no adjacency-list
-iteration), and peaks come from dense scans that form every phase
-exp(-i*lambda*t) directly.
+iteration), peaks come from dense scans that form every phase
+exp(-i*lambda*t) directly, and high-precision amplitudes come from an mpmath
+eigensolver (no float64 eigenpair).
 """
 
 from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 
 from glwalk import EigenDecomposition, Graph
@@ -66,6 +68,15 @@ def amplitude_oracle(dec: EigenDecomposition, times: np.ndarray, u: int, v: int)
     """U(t)_{u,v} at each time, with every phase exp(-i*lambda*t) formed directly."""
     weights = dec.eigenvectors[u] * dec.eigenvectors[v]
     return np.exp(-1j * np.outer(np.asarray(times, dtype=float), dec.eigenvalues)) @ weights
+
+
+def mp_amplitude(h: np.ndarray, t: float, u: int, v: int, dps: int = 40) -> float:
+    """|exp(-iHt)_{u,v}| from mpmath's symmetric eigensolver, working at dps digits."""
+    with mpmath.workdps(dps):
+        values, vectors = mpmath.eigsy(mpmath.matrix(np.asarray(h, dtype=float).tolist()))
+        tt = mpmath.mpf(t)
+        total = mpmath.fsum(vectors[u, j] * vectors[v, j] * mpmath.expj(-values[j] * tt) for j in range(len(values)))
+        return float(abs(total))
 
 
 def dense_peak(dec: EigenDecomposition, u: int, v: int, times: np.ndarray) -> tuple[float, float]:

@@ -17,6 +17,7 @@ from glwalk import (
     GridSearch,
     Laplacian,
     LoopPerturbed,
+    PeakResult,
     TwoLevelSearch,
     complete_bipartite,
     eigendecompose,
@@ -31,6 +32,7 @@ from glwalk import (
     two_level_candidate_time,
 )
 from glwalk.dynamics import (
+    CERTIFIED_SHORTFALL,
     REFINE_RELATIVE_WIDTH,
     SWEEP_BLOCK_ENTRIES,
     _linspace_rows,
@@ -38,7 +40,7 @@ from glwalk.dynamics import (
     _start_searches,
     _uniform_series,
 )
-from oracles import amplitude_oracle, dense_peak, group_runs, unitary_oracle
+from oracles import amplitude_oracle, dense_peak, group_runs, mp_amplitude, unitary_oracle
 
 
 def _decompose(model, graph):
@@ -361,14 +363,38 @@ def test_lockstep_equals_one_search_at_a_time() -> None:
             assert peak.fidelity == abs(evolution_amplitude(dec, peak.t_star, u, v))
 
 
-def _reference_candidate(dec, u, v):
-    # the two-level candidate from per-group np.sum and np.mean
+def _reference_groups(dec, u, v):
+    # per-group couplings (P_r)_{uv} and mean eigenvalues from np.sum and np.mean,
+    # and the top two groups by pair mass
     runs = group_runs(dec)
     vectors = dec.eigenvectors
     masses = np.array([np.sum(vectors[u, run] ** 2) + np.sum(vectors[v, run] ** 2) for run in runs])
+    couplings = np.array([np.sum(vectors[u, run] * vectors[v, run]) for run in runs])
     means = [np.mean(dec.eigenvalues[run]) for run in runs]
     first, second = np.argsort(-masses, kind="stable")[:2]
+    return couplings, means, first, second
+
+
+def _reference_candidate(dec, u, v):
+    # the two-level candidate from per-group np.sum and np.mean
+    _, means, first, second = _reference_groups(dec, u, v)
     return math.pi / float(abs(means[first] - means[second]))
+
+
+def _reference_certificate(dec, u, v):
+    # whether the two-level readout is certified, its floor L = |c_r| + |c_s| - beta and beta
+    couplings, _, first, second = _reference_groups(dec, u, v)
+    top = abs(couplings[first]) + abs(couplings[second])
+    beta = float(np.sum(np.abs(couplings)) - top)
+    floor = float(top - beta)
+    opposite = couplings[first] * couplings[second] < 0
+    return bool(opposite and floor >= 1.0 - CERTIFIED_SHORTFALL), floor, beta
+
+
+def _readout(dec, u, v):
+    # the certified result: |U| at the two-level candidate, read once
+    t_candidate = two_level_candidate_time(dec, u, v)
+    return PeakResult(t_candidate, abs(evolution_amplitude(dec, t_candidate, u, v)), "two-level")
 
 
 def _reference_series(dec, u, v, start, stop, samples):
@@ -451,6 +477,7 @@ def _stack_cases():
 
 
 def test_stacked_stages_equal_single() -> None:
+    certified = searched = 0
     for g, u, v, ks, grid in _stack_cases():
         full = max(1, SWEEP_BLOCK_ENTRIES // max(g.n**2, TwoLevelSearch().refine_samples))
         for size in (1, 2, 7, full, full + 1):
@@ -472,6 +499,12 @@ def test_stacked_stages_equal_single() -> None:
                     strategy = TwoLevelSearch()
                     t_candidate = _reference_candidate(single, u, v)
                     assert two_level_candidate_time(single, u, v) == t_candidate
+                    if _reference_certificate(single, u, v)[0]:
+                        # a certified readout asks for the candidate alone
+                        assert _first_steps(probe, 3, value_at) == [t_candidate]
+                        assert peak == _readout(single, u, v) == peak_fidelity(single, u, v, strategy)
+                        certified += 1
+                        continue
                     window = (t_candidate * 0.5, t_candidate * 1.5, strategy.refine_samples)
                     asked = _first_steps(probe, 3, value_at)
                     assert asked[0] == t_candidate
@@ -485,6 +518,7 @@ def test_stacked_stages_equal_single() -> None:
                 first = _first_ascent_time(single, value_at(t_sample), t_sample, lo, hi)
                 assert asked == [t_sample, *first]
                 assert peak == peak_fidelity(single, u, v, strategy)
+                searched += 1
             # the stacked window scan row by row; widths 44 and 31 columns
             weights = np.array([dec.eigenvectors[u] * dec.eigenvectors[v] for dec in decs])
             eigenvalues = np.array([dec.eigenvalues for dec in decs])
@@ -495,6 +529,8 @@ def test_stacked_stages_equal_single() -> None:
                     reference = _reference_series(dec, u, v, starts[i], stops[i], samples)
                     assert np.array_equal(times[i], reference[0])
                     assert np.array_equal(amplitudes[i], reference[1])
+    # every path:6 member of the paper regime (27 over the five sizes) is certified
+    assert certified >= 27 and searched >= 300
 
 
 def test_sweep_peaks_equal_peak_fidelity_per_k() -> None:
@@ -516,10 +552,14 @@ def _refine_cases():
         if len(dec.group_sizes) > 1:
             yield dec, u, v, TwoLevelSearch()
         yield dec, u, v, GridSearch(30.0, 3001)
-    # readout times from 3e4 (path:4) to 2.5e9 (path:6 at k = 200)
+    # readout times from 3e4 (path:4) to 2.5e9 (path:6 at k = 200), all certified
     for n in (4, 5, 6):
         for k in (143.0, -143.0, 200.0):
             yield _decompose(Generalized(k), path_graph(n)), 0, n - 1, TwoLevelSearch()
+    # just short of the certificate (1 - L near 1.2e-3), with bulk oscillations in the bracket
+    for k in (40.0, -40.0):
+        yield _decompose(Generalized(k), path_graph(6)), 0, 5, TwoLevelSearch()
+    yield _decompose(Generalized(20.0), complete_bipartite(2, 8)), 0, 1, TwoLevelSearch()
 
 
 def _window(dec, u, v, strategy):
@@ -532,9 +572,17 @@ def _window(dec, u, v, strategy):
 
 def test_refine_contract() -> None:
     eps = float(np.finfo(float).eps)
-    stationary = scanned = 0
+    stationary = scanned = certified = 0
     for dec, u, v, strategy in _refine_cases():
         peak = peak_fidelity(dec, u, v, strategy)
+        if isinstance(strategy, TwoLevelSearch) and _reference_certificate(dec, u, v)[0]:
+            # certified: the candidate is the one time evaluated, and the peak is |U| there
+            search = _start_searches([dec], u, v, strategy)[0]
+            t_candidate = two_level_candidate_time(dec, u, v)
+            assert _first_steps(search, 3, functools.partial(_reference_value, dec, u, v)) == [t_candidate]
+            assert peak == _readout(dec, u, v)
+            certified += 1
+            continue
         t_sample, lo, hi = _reference_window(dec, u, v, *_window(dec, u, v, strategy))
         # never below the best window sample
         assert peak.fidelity >= abs(evolution_amplitude(dec, t_sample, u, v))
@@ -554,4 +602,51 @@ def test_refine_contract() -> None:
             tol = REFINE_RELATIVE_WIDTH * max(1.0, abs(lo), abs(hi))
             assert abs(g / h) <= 2.0 * max(tol, math.sqrt((2.0 * f + eps) * eps / -h))
             stationary += 1
-    assert scanned >= 40 and stationary >= 40
+    # the nine paper-regime cases are certified
+    assert scanned >= 40 and stationary >= 40 and certified >= 9
+
+
+def _certified_cases():
+    """(graph, u, v, k): path:3-7 endpoints and bipartite:2,b (0, 1), |k| log-uniform on [30, 300], both signs.
+
+    Two return amplitudes (u = v) join them: their top two groups carry couplings of one
+    sign and a floor near 1, which the sign condition alone keeps uncertified.
+    """
+    rng = np.random.default_rng(211)
+    pairs = [(path_graph(n), 0, n - 1) for n in range(3, 8)] + [(complete_bipartite(2, b), 0, 1) for b in range(3, 9)]
+    pairs += [(path_graph(6), 0, 0), (complete_bipartite(2, 5), 0, 0)]
+    for g, u, v in pairs:
+        for sign in (1.0, -1.0, 1.0, -1.0):
+            yield g, u, v, sign * float(np.exp(rng.uniform(math.log(30.0), math.log(300.0))))
+
+
+def test_certified_readout_contract() -> None:
+    eps = float(np.finfo(float).eps)
+    certified = 0
+    for g, u, v, k in _certified_cases():
+        h = hamiltonian_matrix(Generalized(k), g)
+        dec = eigendecompose(h)
+        search = _start_searches([dec], u, v, TwoLevelSearch())[0]
+        asked = _first_steps(search, 2, functools.partial(_reference_value, dec, u, v))
+        expected, floor, beta = _reference_certificate(dec, u, v)
+        assert (len(asked) == 1) == expected
+        if not expected:
+            continue
+        peak = peak_fidelity(dec, u, v, TwoLevelSearch())
+        t_star = two_level_candidate_time(dec, u, v)
+        assert peak.method == "two-level" and peak.t_star == t_star == asked[0]
+        assert peak.fidelity == abs(evolution_amplitude(dec, t_star, u, v))
+        # the 40-digit amplitude lies in the two-level bracket, up to the phase budget
+        tol = float(np.abs(dec.eigenvalues).max()) * t_star * eps
+        assert floor - tol <= mp_amplitude(h, t_star, u, v) <= floor + 2.0 * beta + tol
+        certified += 1
+    assert certified >= 30
+
+
+@pytest.mark.parametrize("n, k", [(7, 143.2), (6, 300.0)])
+def test_merged_pair_is_not_certified(n, k) -> None:
+    # eigh's grouping merges the pair (ROADMAP item 1), so the top two groups carry no certificate
+    dec = _decompose(Generalized(k), path_graph(n))
+    search = _start_searches([dec], 0, n - 1, TwoLevelSearch())[0]
+    assert len(_first_steps(search, 2, functools.partial(_reference_value, dec, 0, n - 1))) == 2
+    assert not _reference_certificate(dec, 0, n - 1)[0]

@@ -222,6 +222,13 @@ EXTRA = [
     "peak --graph path:7 --model loops:0,6,20 --u 0 --v 6",
     "peak --graph path:7 --model loops:0,5,20 --u 0 --v 5",
     "peak --graph bipartite:3,3 --model adjacency --u 0 --v 5",
+    # either side of the certified two-level readout (glwalk.dynamics.CERTIFIED_SHORTFALL = 1e-3):
+    # 1 - L is 1.25e-3 and 8.0e-4 on path:6, 1.1e-3 and 4.9e-4 on bipartite:2,8
+    "peak --graph path:6 --u 0 --v 5 --model generalized:40",
+    "peak --graph path:6 --u 0 --v 5 --model generalized:50",
+    "peak --graph bipartite:2,8 --u 0 --v 1 --model generalized:20",
+    "peak --graph bipartite:2,8 --u 0 --v 1 --model generalized:30",
+    "sweep --graph path:6 --u 0 --v 5 --kmin 30 --kmax 60 --steps 4",
 ]
 
 
