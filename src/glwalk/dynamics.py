@@ -10,11 +10,10 @@ samples cost about 2*sqrt(S)*n complex exponentials and one
 sqrt(S) x n x sqrt(S) complex matrix product, with O(sqrt(S)*n + S) memory,
 in place of S*n exponentials held at once.
 
-Peak searches are step-wise; a strategy checks its own settings when
-built. Starting a search seeds it and, unless it is certified, scans its
-sample window, on stacked arrays for any number of spectra: one group_sums
-over all of them for the two-level candidates and certificates and one
-batched window product per stack of scans.
+A strategy checks its own settings when built. The peak searches of a
+block of spectra (the one spectrum of peak_fidelity, or a block of k values
+of sweep_peaks) share one group_sums over all of them for the two-level
+candidates and certificates; after that each search runs on its own.
 
 The certificate: with U(t) = sum_r c_r * exp(-i*mu_r*t), c_r = (P_r)_{uv},
 take the two groups r, s most localized on {u, v}, the bulk weight
@@ -25,31 +24,29 @@ budget max|lambda|*t*eps, and sup_t |U| <= L + 2*beta <= 1 (the two-level
 picture of Kempton, Lippner and Yau, QIC 2017). Where also
 L >= 1 - CERTIFIED_SHORTFALL, no search can beat that readout by more than
 CERTIFIED_SHORTFALL, so the search is certified: it evaluates the
-candidate alone and scans nothing.
+candidate alone and scans nothing. The certified searches of a block are
+read in one array step, one np.exp over their stacked phases and one
+(K,1,n) @ (K,n,1) np.matmul.
 
-Every other search scans its window. A started search keeps only its
-phases -i*lambda, weights w = V[u]*V[v] and derivative weights
--i*lambda*w and -lambda**2*w; its steps yield each time to evaluate and
-receive (|U|, U, U', U'') there. The refine is a safeguarded Newton ascent
-on |U|^2 from the best window sample, inside the bracket between that
-sample's neighbours: a step is kept only where |U| rises, so the refined
-fidelity is never below the best sample, and the trust radius starts at
-min(bracket width, 1/(2*spread of the spectrum)), short of the fastest
-oscillation. Where an uncertified bracket spans many bulk oscillations,
-the ascent climbs the one at the sample.
+Every other search scans its window, and its steps yield each time to
+evaluate and receive (|U|, U, U', U'') there, from one np.exp of the phases
+-i*lambda, a dot with the weights w = V[u]*V[v] for U and one (n,) @ (n,2)
+product with -i*lambda*w and -lambda**2*w for U' and U''. The refine is a
+safeguarded Newton ascent on |U|^2 from the best window sample, inside the
+bracket between that sample's neighbours: a step is kept only where |U|
+rises, so the refined fidelity is never below the best sample, and the
+trust radius starts at min(bracket width, 1/(2*spread of the spectrum)),
+short of the fastest oscillation. Where an uncertified bracket spans many
+bulk oscillations, the ascent climbs the one at the sample.
 
-Started searches run in lockstep: each round evaluates every pending time
-with one np.exp over the stacked phases, one (K,1,n) @ (K,n,1) np.matmul
-for U and one (K,1,n) @ (K,n,2) np.matmul for U' and U''. peak_fidelity
-is the one-search case; sweep_peaks starts its searches a block of k
-values at a time and runs all of them in one lockstep. The stacked forms
-keep every result bit-identical to the search run alone: matmul takes
-each slice's product with the same dot or gemv as the 2-D product (a
-(K,n) row-wise product or a sum rounds differently, and U is not read off
-the derivative product, whose gemv rounds differently from the dot that
-evolution_amplitude takes), every other stacked operation is elementwise
-or per row, and reported magnitudes go through Python abs, which np.abs
-on a complex array does not always match.
+Every result is bit-identical to the search of its spectrum alone, and
+its fidelity to |evolution_amplitude| at its time: the readout's matmul
+takes each slice's product with the same dot as the 1-D product (a (K,n)
+row-wise product or a sum rounds differently), U is not read off the
+derivative product, whose gemv rounds differently from that dot, every
+other stacked operation is elementwise or per row, and reported
+magnitudes go through Python abs, which np.abs on a complex array does
+not always match.
 """
 
 from __future__ import annotations
@@ -68,9 +65,8 @@ from .spectral import EigenDecomposition, eigendecompose_stack, group_sums
 #: the refine's Newton ascent stops once its next step or its trust radius is
 #: within REFINE_RELATIVE_WIDTH * max(1, |t|) over the bracket
 REFINE_RELATIVE_WIDTH = 1e-12
-#: a stack holds at most this many matrix entries or scan samples: a sweep
-#: decomposes max(1, SWEEP_BLOCK_ENTRIES // max(n*n, refine samples)) k values
-#: at once, and scans of S samples run SWEEP_BLOCK_ENTRIES // S at a time
+#: a sweep's Hamiltonian stack holds at most this many matrix entries: it
+#: decomposes max(1, SWEEP_BLOCK_ENTRIES // (n*n)) k values at once
 SWEEP_BLOCK_ENTRIES = 2**14
 #: a TwoLevelSearch whose two-level floor L is at least 1 - CERTIFIED_SHORTFALL
 #: reads |U| at its candidate time alone (see the module docstring). That |U|
@@ -143,44 +139,22 @@ def evolution_amplitude(dec: EigenDecomposition, t: float, u: int, v: int) -> co
     return complex(np.exp(-1j * dec.eigenvalues * t) @ weights)
 
 
-def _linspace_rows(start: np.ndarray, stop: np.ndarray, samples: int) -> np.ndarray:
-    """Row i is np.linspace(start[i], stop[i], samples), bit for bit.
-
-    The same arithmetic as np.linspace, j*step + start with the last sample
-    set to stop, and (j/div)*delta where the step underflows to zero; laid
-    out (K, samples) so each operation runs along a row, where np.linspace
-    with array endpoints runs K entries at a time.
-    """
-    delta = stop - start
-    step = delta / (samples - 1)
-    times = np.arange(samples, dtype=float) * step[:, None]
-    flat = step == 0
-    if flat.any():
-        times[flat] = np.arange(samples, dtype=float) / (samples - 1) * delta[flat, None]
-    times += start[:, None]
-    times[:, -1] = stop
-    return times
-
-
 def _uniform_series(
-    eigenvalues: np.ndarray, weights: np.ndarray, start: np.ndarray, stop: np.ndarray, samples: int
+    eigenvalues: np.ndarray, weights: np.ndarray, start: float, stop: float, samples: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Row i: times np.linspace(start[i], stop[i], samples) and the amplitudes there.
+    """Times np.linspace(start, stop, samples) and sum_r weights[r] * exp(-i*eigenvalues[r]*t) there.
 
-    eigenvalues and the weights V[u]*V[v] are (K, n) arrays, start and stop
-    (K,) arrays. Sample j = J*B + m, with B = isqrt(samples) and step h,
-    takes its phase exp(-i*lam*t_j) as exp(-i*lam*t_{J*B}) * exp(-i*lam*m*h);
-    the block starts are grid points, and the offset table carries the
-    weights. One (K, nb, n) @ (K, n, B) matmul forms every row.
+    Sample j = J*B + m, with B = isqrt(samples) and step h, takes its phase
+    exp(-i*lam*t_j) as exp(-i*lam*t_{J*B}) * exp(-i*lam*m*h); the block
+    starts are grid points, and the offset table carries the weights. One
+    (nb, n) @ (n, B) product forms the series.
     """
-    times = _linspace_rows(start, stop, samples)
+    times = np.linspace(start, stop, samples)
     width = math.isqrt(samples)
     step = (stop - start) / (samples - 1)
-    shifts = (np.arange(width) * step[:, None])[:, :, None] * eigenvalues[:, None, :]
-    offsets = weights[:, None, :] * np.exp(-1j * shifts)
-    blocks = np.exp(-1j * (times[:, ::width, None] * eigenvalues[:, None, :]))
-    amplitudes = np.matmul(blocks, offsets.transpose(0, 2, 1))
-    return times, amplitudes.reshape(len(times), -1)[:, :samples]
+    offsets = weights * np.exp(-1j * np.outer(np.arange(width) * step, eigenvalues))
+    blocks = np.exp(-1j * np.outer(times[::width], eigenvalues))
+    return times, (blocks @ offsets.T).ravel()[:samples]
 
 
 def _check_phases(t_max: float, eigenvalues: np.ndarray) -> None:
@@ -197,10 +171,8 @@ def fidelity_curve(dec: EigenDecomposition, u: int, v: int, t_max: float, sample
         raise ValueError("need at least two samples")
     _check_phases(t_max, dec.eigenvalues)
     weights = dec.eigenvectors[u] * dec.eigenvectors[v]
-    times, amplitudes = _uniform_series(
-        dec.eigenvalues[None], weights[None], np.zeros(1), np.array([t_max]), samples
-    )
-    times, probabilities = times[0], np.abs(amplitudes[0]) ** 2
+    times, amplitudes = _uniform_series(dec.eigenvalues, weights, 0.0, t_max, samples)
+    probabilities = np.abs(amplitudes) ** 2
     times.setflags(write=False)
     probabilities.setflags(write=False)
     return FidelityCurve(times=times, probabilities=probabilities)
@@ -296,29 +268,35 @@ def _slope_curvature(value: tuple) -> tuple[float, float, float]:
     return magnitude, (u.conjugate() * du).real, (du.conjugate() * du).real + (u.conjugate() * d2u).real
 
 
-def _readout_steps(t_candidate: float):
-    # a certified search: the one time to evaluate is the candidate
-    return PeakResult(t_star=t_candidate, fidelity=(yield t_candidate)[0], method="two-level")
-
-
 def _search_steps(
-    t_candidate: float | None, t_sample: float, bracket_lo: float, bracket_hi: float, radius: float
-):
-    # peak_fidelity's comparisons in order; yields each time to evaluate,
-    # receives (|U|, U, U', U'') there and returns the PeakResult
+    strategy: GridSearch | TwoLevelSearch, eigenvalues: np.ndarray, weights: np.ndarray, t_candidate: float | None
+) -> Generator:
+    # one uncertified search, peak_fidelity's comparisons in order: the
+    # candidate if any, the best sample of the window scan and the ascent from
+    # it inside the bracket between its neighbors, with a trust radius of the
+    # smaller of the bracket width and 1/(2*spread). Yields each time to
+    # evaluate, receives (|U|, U, U', U'') there and returns the PeakResult
     if t_candidate is None:
-        seed_method = "grid"
-        best_t, best_f = 0.0, -1.0
+        _check_phases(strategy.t_max, eigenvalues)
+        samples, start, stop = strategy.samples, 0.0, strategy.t_max
+        seed_method, best_t, best_f = "grid", 0.0, -1.0
     else:
-        seed_method = "two-level"
-        best_t, best_f = t_candidate, (yield t_candidate)[0]
+        samples = strategy.refine_samples
+        start = t_candidate * (1.0 - strategy.refine_window_fraction)
+        stop = t_candidate * (1.0 + strategy.refine_window_fraction)
+        seed_method, best_t, best_f = "two-level", t_candidate, (yield t_candidate)[0]
+    times, amplitudes = _uniform_series(eigenvalues, weights, start, stop, samples)
+    j = int(np.argmax(np.abs(amplitudes)))
+    t_sample, lo, hi = float(times[j]), float(times[max(j - 1, 0)]), float(times[min(j + 1, samples - 1)])
+    spread = float(eigenvalues[-1] - eigenvalues[0])
+    radius = min(hi - lo, 0.5 / spread) if spread > 0 else hi - lo
     # the reported fidelity is always a pointwise amplitude value
     sample = yield t_sample
     if sample[0] > best_f:
         best_t, best_f = t_sample, sample[0]
         if seed_method == "two-level":
             seed_method = "refined"
-    t_refined, f_refined = yield from _ascend(t_sample, sample, bracket_lo, bracket_hi, radius)
+    t_refined, f_refined = yield from _ascend(t_sample, sample, lo, hi, radius)
     method = seed_method
     if f_refined > best_f:
         best_t, best_f = t_refined, f_refined
@@ -326,54 +304,20 @@ def _search_steps(
     return PeakResult(t_star=best_t, fidelity=best_f, method=method)
 
 
-#: a started search: phases -1j * eigenvalues, weights V[u] * V[v] and the
-#: (n, 2) derivative weights [phases, -eigenvalues**2] * weights, so that
-#: U(t)_{u,v} is exp(phases * t) @ weights and (U', U'') is exp(phases * t) @
-#: derivative weights, and the steps generator that yields the times to evaluate
-_Search = tuple[np.ndarray, np.ndarray, np.ndarray, Generator]
-
-
-def _scan(
-    strategy: GridSearch | TwoLevelSearch, eigenvalues: np.ndarray, weights: np.ndarray, candidates: list
-) -> list[Generator]:
-    # the steps of each row's search: its window scanned, the best sample
-    # and its neighbors picked as in the one-search form; the ascent's trust
-    # radius starts at the smaller of the bracket width and 1/(2*spread)
-    if isinstance(strategy, TwoLevelSearch):
-        samples, t_candidates = strategy.refine_samples, np.array(candidates)
-        start = t_candidates * (1.0 - strategy.refine_window_fraction)
-        stop = t_candidates * (1.0 + strategy.refine_window_fraction)
-    else:
-        _check_phases(strategy.t_max, eigenvalues)
-        samples, start = strategy.samples, np.zeros(len(candidates))
-        stop = np.array([strategy.t_max] * len(candidates))
-    times, amplitudes = _uniform_series(eigenvalues, weights, start, stop, samples)
-    spreads = (eigenvalues[:, -1] - eigenvalues[:, 0]).tolist()
-    steps = []
-    for i, j in enumerate(np.argmax(np.abs(amplitudes), axis=1).tolist()):
-        lo, hi = float(times[i, max(j - 1, 0)]), float(times[i, min(j + 1, samples - 1)])
-        radius = min(hi - lo, 0.5 / spreads[i]) if spreads[i] > 0 else hi - lo
-        steps.append(_search_steps(candidates[i], float(times[i, j]), lo, hi, radius))
-    return steps
-
-
-def _start_searches(
+def _peaks(
     decs: Sequence[EigenDecomposition],
     u: int,
     v: int,
     strategy: GridSearch | TwoLevelSearch,
     fallback: GridSearch | None = None,
-) -> list[_Search]:
-    """The started search of each decomposition (all of one size), stage by stage on stacked arrays.
+) -> list[PeakResult]:
+    """peak_fidelity of each decomposition (all of one size), in input order.
 
-    Seeds each search and scans the sample windows of the uncertified
-    ones, so it raises what peak_fidelity raises before any time is
-    evaluated. A
-    decomposition whose two-level candidate raises DegenerateGapError is
-    searched with fallback instead; without a fallback the error propagates.
-    Scans of S samples run max(1, SWEEP_BLOCK_ENTRIES // S) decompositions
-    at a time. A started search holds O(n) data and no reference to its
-    decomposition.
+    A decomposition whose two-level candidate raises DegenerateGapError is
+    searched with fallback instead; without a fallback the error
+    propagates. The certified searches are read in one array step, and
+    every other one is scanned and driven through its steps on its own (see
+    the module docstring).
     """
     eigenvalues = np.array([dec.eigenvalues for dec in decs])
     pairs = np.array([(dec.eigenvectors[u], dec.eigenvectors[v]) for dec in decs])
@@ -383,67 +327,33 @@ def _start_searches(
         candidates, certified = [None] * len(decs), [False] * len(decs)
     weights = pairs[:, 0] * pairs[:, 1]
     phases = -1j * eigenvalues
-    derivatives = np.stack([phases * weights, -(eigenvalues**2) * weights], axis=-1)
-    searches = [None] * len(decs)
-    members: dict[GridSearch | TwoLevelSearch, list[int]] = {}
+    peaks: list[PeakResult | None] = [None] * len(decs)
+    read = [i for i, ok in enumerate(certified) if ok]
+    if read:
+        blocks = np.exp(phases[read] * np.array([candidates[i] for i in read])[:, None])[:, None, :]
+        values = np.matmul(blocks, weights[read].astype(complex)[:, :, None]).ravel().tolist()
+        for i, value in zip(read, values):
+            peaks[i] = PeakResult(t_star=candidates[i], fidelity=abs(value), method="two-level")
     for i, candidate in enumerate(candidates):
+        if certified[i]:
+            continue
         chosen = strategy
         if isinstance(candidate, DegenerateGapError):
             if fallback is None:
                 raise candidate
-            chosen, candidates[i] = fallback, None
-        elif certified[i]:
-            searches[i] = (phases[i], weights[i], derivatives[i], _readout_steps(candidate))
-            continue
-        members.setdefault(chosen, []).append(i)
-    for chosen, indices in members.items():
-        samples = chosen.refine_samples if isinstance(chosen, TwoLevelSearch) else chosen.samples
-        chunk = max(1, SWEEP_BLOCK_ENTRIES // samples)
-        for lo in range(0, len(indices), chunk):
-            stack = indices[lo : lo + chunk]
-            # a stack of every decomposition is read in place
-            rows = stack if len(stack) < len(decs) else slice(None)
-            steps = _scan(chosen, eigenvalues[rows], weights[rows], [candidates[i] for i in stack])
-            for i, search_steps in zip(stack, steps):
-                searches[i] = (phases[i], weights[i], derivatives[i], search_steps)
-    return searches
-
-
-def _run_searches(searches: list[_Search]) -> list[PeakResult]:
-    """Run started searches over spectra of one size in lockstep; results in input order.
-
-    Each round evaluates every pending time at once (see the module
-    docstring). The last search left is evaluated alone with the same dot
-    and product, which skips the stacking a single search does not need.
-    """
-    results: list[PeakResult | None] = [None] * len(searches)
-    active = list(range(len(searches)))
-    times = [next(search[-1]) for search in searches]
-    phases = weights = derivatives = None
-    while active:
-        if len(active) == 1:
-            search_phases, search_weights, search_derivatives, _ = searches[active[0]]
-            block = np.exp(search_phases * times[0])
-            values = [block @ search_weights]
-            slopes = [(block @ search_derivatives).tolist()]
-        else:
-            if phases is None or len(phases) != len(active):
-                phases = np.stack([searches[i][0] for i in active])
-                weights = np.stack([searches[i][1] for i in active]).astype(complex)[:, :, None]
-                derivatives = np.stack([searches[i][2] for i in active])
-            block = np.exp(phases * np.array(times)[:, None])[:, None, :]
-            values = np.matmul(block, weights).ravel().tolist()
-            slopes = np.matmul(block, derivatives)[:, 0].tolist()
-        still, times = [], []
-        for i, value, (slope, curvature) in zip(active, values, slopes):
-            value = complex(value)
+            chosen, candidate = fallback, None
+        steps = _search_steps(chosen, eigenvalues[i], weights[i], candidate)
+        derivatives = np.stack([phases[i] * weights[i], -(eigenvalues[i] ** 2) * weights[i]], axis=-1)
+        t = next(steps)
+        while peaks[i] is None:
+            block = np.exp(phases[i] * t)
+            value = complex(block @ weights[i])
+            slope, curvature = (block @ derivatives).tolist()
             try:
-                times.append(searches[i][-1].send((abs(value), value, slope, curvature)))
-                still.append(i)
+                t = steps.send((abs(value), value, slope, curvature))
             except StopIteration as done:
-                results[i] = done.value
-        active = still
-    return results
+                peaks[i] = done.value
+    return peaks
 
 
 def peak_fidelity(
@@ -458,25 +368,23 @@ def peak_fidelity(
     takes the best of a uniform scan of [0, t_max] and refines between the
     neighbors of the best sample.
     """
-    return _run_searches(_start_searches([dec], u, v, strategy))[0]
-
-
-def _sweep_block(graph: Graph, u: int, v: int, ks: Sequence[float], fallback: GridSearch) -> list[_Search]:
-    # the started searches of one block of k values; the block's Hamiltonians,
-    # decompositions and window arrays are dropped on return
-    decs = eigendecompose_stack(hamiltonian_stack([Generalized(k) for k in ks], graph))
-    return _start_searches(decs, u, v, TwoLevelSearch(), fallback)
+    return _peaks([dec], u, v, strategy)[0]
 
 
 def sweep_peaks(graph: Graph, u: int, v: int, ks: Sequence[float], fallback: GridSearch) -> list[PeakResult]:
     """peak_fidelity under Generalized(k) for each k, with TwoLevelSearch; fallback on a degenerate gap.
 
-    The k values are decomposed and seeded a block at a time, and every k's
-    refine then runs in one lockstep; a k whose spectrum certifies the
-    two-level readout is read at its candidate time alone. Each result
-    equals peak_fidelity of its k alone.
+    The k values are taken a block of max(1, SWEEP_BLOCK_ENTRIES // n**2)
+    at a time: one Hamiltonian stack, one stacked decomposition and one
+    two-level candidate step per block, dropped before the next block is
+    built. Certified k values are read at their candidate times and every
+    other k is searched on its own; each result equals peak_fidelity of its
+    k alone.
     """
-    # a block holds at most SWEEP_BLOCK_ENTRIES matrix entries or window samples
-    block = max(1, SWEEP_BLOCK_ENTRIES // max(graph.n**2, TwoLevelSearch().refine_samples))
-    blocks = (_sweep_block(graph, u, v, ks[i : i + block], fallback) for i in range(0, len(ks), block))
-    return _run_searches([search for searches in blocks for search in searches])
+    block = max(1, SWEEP_BLOCK_ENTRIES // graph.n**2)
+    peaks = []
+    for i in range(0, len(ks), block):
+        models = [Generalized(k) for k in ks[i : i + block]]
+        # passed as temporaries, the block's stack and decompositions are dropped before the next block
+        peaks += _peaks(eigendecompose_stack(hamiltonian_stack(models, graph)), u, v, TwoLevelSearch(), fallback)
+    return peaks

@@ -996,9 +996,9 @@ def test_sweep_rows_equal_per_k_peak(capsys, graph, u, v, kmin, kmax, steps) -> 
 
 
 def test_sweep_memory_does_not_grow_with_steps(capsys) -> None:
-    # sweep_peaks decomposes max(1, SWEEP_BLOCK_ENTRIES // max(n*n, 2000)) k values at a time,
-    # one at a time from n = 128 on, and a started search keeps O(n) data, so at n = 400 a
-    # sweep holds one n x n decomposition at a time
+    # sweep_peaks decomposes max(1, SWEEP_BLOCK_ENTRIES // (n*n)) k values at a time, one
+    # at a time from n = 128 on, and searches each k on its own before the next block, so at
+    # n = 400 a sweep holds one n x n decomposition at a time
     def traced_peak(steps: str) -> int:
         argv = [
             "sweep", "--graph", "path:400", "--u", "0", "--v", "399", "--kmin", "-1.3", "--kmax", "1.1",

@@ -31,15 +31,8 @@ from glwalk import (
     sweep_peaks,
     two_level_candidate_time,
 )
-from glwalk.dynamics import (
-    CERTIFIED_SHORTFALL,
-    REFINE_RELATIVE_WIDTH,
-    SWEEP_BLOCK_ENTRIES,
-    _linspace_rows,
-    _run_searches,
-    _start_searches,
-    _uniform_series,
-)
+import glwalk.dynamics
+from glwalk.dynamics import CERTIFIED_SHORTFALL, REFINE_RELATIVE_WIDTH, _peaks, _search_steps, _uniform_series
 from oracles import amplitude_oracle, dense_peak, group_runs, mp_amplitude, unitary_oracle
 
 
@@ -266,10 +259,7 @@ def test_amplitude_series_matches_pointwise() -> None:
 
 
 def _pair_series(dec, u, v, start, stop, samples):
-    # _uniform_series of a one-row stack
-    weights = dec.eigenvectors[u] * dec.eigenvectors[v]
-    times, series = _uniform_series(dec.eigenvalues[None], weights[None], np.array([start]), np.array([stop]), samples)
-    return times[0], series[0]
+    return _uniform_series(dec.eigenvalues, dec.eigenvectors[u] * dec.eigenvectors[v], start, stop, samples)
 
 
 @pytest.mark.parametrize("samples", [2, 3, 7, 100, 101, 1009, 10000])
@@ -286,18 +276,6 @@ def test_uniform_series_matches_direct(samples) -> None:
             assert np.array_equal(times, np.linspace(start, stop, samples))
             direct = amplitude_oracle(dec, times, u, v)
             assert float(np.max(np.abs(series - direct))) <= 1e-12
-
-
-def test_linspace_rows_equals_numpy() -> None:
-    rng = np.random.default_rng(89)
-    starts = [0.0, -3.5, 1e-300, 0.0, 0.0, *rng.uniform(-1e9, 1e9, 20)]
-    # a step that underflows to zero (numpy's own branch) in rows 3 and 4
-    stops = [1.0, 2.25, 1e-299, 5e-324, 1e-322, *rng.uniform(1e9, 2e9, 20)]
-    for samples in (2, 3, 7, 2000, 10007):
-        rows = _linspace_rows(np.array(starts), np.array(stops), samples)
-        for row, start, stop in zip(rows, starts, stops):
-            assert np.array_equal(row, np.linspace(start, stop, samples))
-            assert np.array_equal(np.signbit(row), np.signbit(np.linspace(start, stop, samples)))
 
 
 def test_uniform_series_within_phase_budget_on_refine_window() -> None:
@@ -330,7 +308,7 @@ def test_uniform_grid_memory_is_bounded(n, search) -> None:
     assert peak < 16 * 2**20
 
 
-def _lockstep_batch(g, models, u, v):
+def _strategy_batch(g, models, u, v):
     """Each decomposition with its default search (grid on a degenerate gap) and a grid search."""
     batch = []
     for model in models:
@@ -344,22 +322,21 @@ def _lockstep_batch(g, models, u, v):
     return batch
 
 
-def test_lockstep_equals_one_search_at_a_time() -> None:
+def test_peak_fidelity_reads_evolution_amplitude() -> None:
+    # the reported fidelity is |evolution_amplitude| at the reported time, bit for bit
     rng = np.random.default_rng(73)
     cases = []
     for _ in range(12):
         g = random_graph(rng, n_max=10)
         u, v = (int(x) for x in rng.choice(g.n, size=2, replace=False))
         models = [random_model(rng, g), *(Generalized(float(k)) for k in rng.uniform(-3.0, 3.0, 3))]
-        cases.append((_lockstep_batch(g, models, u, v), u, v))
+        cases.append((_strategy_batch(g, models, u, v), u, v))
     # the paper regime: readout times near 1e9, phases near 1e11 rad
     p6_models = [Generalized(k) for k in (140.0, 142.5, 143.0, 143.2, 144.0)]
-    cases.append((_lockstep_batch(path_graph(6), p6_models, 0, 5), 0, 5))
+    cases.append((_strategy_batch(path_graph(6), p6_models, 0, 5), 0, 5))
     for batch, u, v in cases:
-        lockstep = _run_searches([_start_searches([dec], u, v, s)[0] for dec, s in batch])
-        assert len(lockstep) == len(batch)
-        for (dec, strategy), peak in zip(batch, lockstep):
-            assert peak == peak_fidelity(dec, u, v, strategy)
+        for dec, strategy in batch:
+            peak = peak_fidelity(dec, u, v, strategy)
             assert peak.fidelity == abs(evolution_amplitude(dec, peak.t_star, u, v))
 
 
@@ -424,10 +401,32 @@ def _reference_value(dec, u, v, t):
     return abs(amplitude), amplitude, complex(np.sum(phases * terms)), complex(np.sum(phases**2 * terms))
 
 
-def _first_steps(search, count, value_at):
-    # the first count times a started search asks for (fewer if it ends),
+@pytest.fixture
+def scans(monkeypatch) -> list:
+    """The (strategy, t_candidate) of each search glwalk.dynamics runs through its steps during the test.
+
+    A certified two-level readout takes no steps and scans nothing, so it adds nothing.
+    """
+    calls = []
+    search_steps = glwalk.dynamics._search_steps
+
+    def recorded(strategy, eigenvalues, weights, t_candidate):
+        calls.append((strategy, t_candidate))
+        return search_steps(strategy, eigenvalues, weights, t_candidate)
+
+    monkeypatch.setattr(glwalk.dynamics, "_search_steps", recorded)
+    return calls
+
+
+def _steps(dec, u, v, strategy):
+    # the steps generator of dec's search where it is not certified, as _peaks starts it
+    t_candidate = two_level_candidate_time(dec, u, v) if isinstance(strategy, TwoLevelSearch) else None
+    return _search_steps(strategy, dec.eigenvalues, dec.eigenvectors[u] * dec.eigenvectors[v], t_candidate)
+
+
+def _first_steps(steps, count, value_at):
+    # the first count times a search's steps ask for (fewer if they end),
     # fed value_at(t) for each time t
-    *_, steps = search
     times = [next(steps)]
     try:
         while len(times) < count:
@@ -471,23 +470,27 @@ def _stack_cases():
         cases.append((complete, 0, 1, [float(k) for k in rng.uniform(-3.0, 3.0, 9)], GridSearch(20.0, 401)))
     # the paper regime: readout times near 1e9, phases near 1e11 rad
     cases.append((path_graph(6), 0, 5, [float(k) for k in np.linspace(140.0, 144.0, 9)], GridSearch(20.0, 401)))
-    # one eigenvalue group at every k: each member takes the grid, 3 scans to a stack
+    # one eigenvalue group at every k: each member takes the grid
     cases.append((Graph(n=4), 0, 3, [float(k) for k in np.linspace(-1.0, 1.0, 9)], GridSearch(20.0, 5001)))
+    # certified, searched and merged-pair rows in one stack: path:6 is searched at k = 30 and 40,
+    # certified from 50 on and merged by eigh's grouping at 300 (ROADMAP item 1); on K_{2,8}, 20 is
+    # searched and 30 certified
+    cases.append((path_graph(6), 0, 5, [30.0, 40.0, 50.0, 60.0, 100.0, 200.0, 300.0], GridSearch(20.0, 401)))
+    cases.append((complete_bipartite(2, 8), 0, 1, [20.0, 30.0], GridSearch(20.0, 401)))
     return cases
 
 
-def test_stacked_stages_equal_single() -> None:
+def test_stacked_stages_equal_single(scans) -> None:
     certified = searched = 0
     for g, u, v, ks, grid in _stack_cases():
-        full = max(1, SWEEP_BLOCK_ENTRIES // max(g.n**2, TwoLevelSearch().refine_samples))
-        for size in (1, 2, 7, full, full + 1):
+        for size in sorted({min(size, len(ks)) for size in (1, 2, 7, len(ks))}):
             models = [Generalized(k) for k in ks[:size]]
             stacked = hamiltonian_stack(models, g)
             decs = eigendecompose_stack(stacked)
-            searches = _start_searches(decs, u, v, TwoLevelSearch(), grid)
-            probes = _start_searches(decs, u, v, TwoLevelSearch(), grid)
-            peaks = _run_searches(searches)
-            for model, h, dec, probe, peak in zip(models, stacked, decs, probes, peaks):
+            scans.clear()
+            peaks = _peaks(decs, u, v, TwoLevelSearch(), grid)
+            scanned, expected = scans[:], []
+            for model, h, dec, peak in zip(models, stacked, decs, peaks, strict=True):
                 value_at = functools.partial(_reference_value, dec, u, v)
                 alone = hamiltonian_matrix(model, g)
                 assert np.array_equal(h, alone) and np.array_equal(np.signbit(h), np.signbit(alone))
@@ -500,41 +503,34 @@ def test_stacked_stages_equal_single() -> None:
                     t_candidate = _reference_candidate(single, u, v)
                     assert two_level_candidate_time(single, u, v) == t_candidate
                     if _reference_certificate(single, u, v)[0]:
-                        # a certified readout asks for the candidate alone
-                        assert _first_steps(probe, 3, value_at) == [t_candidate]
+                        # a certified readout scans nothing and is |U| at the candidate
                         assert peak == _readout(single, u, v) == peak_fidelity(single, u, v, strategy)
                         certified += 1
                         continue
                     window = (t_candidate * 0.5, t_candidate * 1.5, strategy.refine_samples)
-                    asked = _first_steps(probe, 3, value_at)
+                    asked = _first_steps(_steps(single, u, v, strategy), 3, value_at)
                     assert asked[0] == t_candidate
                     asked = asked[1:]
                 else:
-                    strategy = grid
+                    strategy, t_candidate = grid, None
                     window = (0.0, grid.t_max, grid.samples)
-                    asked = _first_steps(probe, 2, value_at)
+                    asked = _first_steps(_steps(single, u, v, grid), 2, value_at)
+                expected.append((strategy, t_candidate))
                 t_sample, lo, hi = _reference_window(single, u, v, *window)
                 # the ascent starts from the best sample of the bracket
                 first = _first_ascent_time(single, value_at(t_sample), t_sample, lo, hi)
                 assert asked == [t_sample, *first]
                 assert peak == peak_fidelity(single, u, v, strategy)
                 searched += 1
-            # the stacked window scan row by row; widths 44 and 31 columns
-            weights = np.array([dec.eigenvectors[u] * dec.eigenvectors[v] for dec in decs])
-            eigenvalues = np.array([dec.eigenvalues for dec in decs])
-            starts, stops = np.arange(1.0, size + 1.0), np.arange(1.0, size + 1.0) * 7.3
-            for samples in (2000, 1001):
-                times, amplitudes = _uniform_series(eigenvalues, weights, starts, stops, samples)
-                for i, dec in enumerate(decs):
-                    reference = _reference_series(dec, u, v, starts[i], stops[i], samples)
-                    assert np.array_equal(times[i], reference[0])
-                    assert np.array_equal(amplitudes[i], reference[1])
-    # every path:6 member of the paper regime (27 over the five sizes) is certified
-    assert certified >= 27 and searched >= 300
+            # the stack scans each uncertified row, in order, and no certified one
+            assert scanned == expected
+    # certified: every member of the paper-regime path:6 and of a path:2 draw (19 each over
+    # the four sizes), and 5 of the 13 rows of the mixed stacks
+    assert certified >= 43 and searched >= 274
 
 
 def test_sweep_peaks_equal_peak_fidelity_per_k() -> None:
-    # 9 k values over n <= 10 make a block of 8 and a block of 1
+    # each case's k values make one block
     for g, u, v, ks, grid in _stack_cases():
         for k, peak in zip(ks, sweep_peaks(g, u, v, ks, grid), strict=True):
             dec = _decompose(Generalized(k), g)
@@ -570,20 +566,25 @@ def _window(dec, u, v, strategy):
     return t_candidate * (1.0 - fraction), t_candidate * (1.0 + fraction), strategy.refine_samples
 
 
-def test_refine_contract() -> None:
+def test_refine_contract(scans) -> None:
     eps = float(np.finfo(float).eps)
     stationary = scanned = certified = 0
     for dec, u, v, strategy in _refine_cases():
+        scans.clear()
         peak = peak_fidelity(dec, u, v, strategy)
         if isinstance(strategy, TwoLevelSearch) and _reference_certificate(dec, u, v)[0]:
-            # certified: the candidate is the one time evaluated, and the peak is |U| there
-            search = _start_searches([dec], u, v, strategy)[0]
-            t_candidate = two_level_candidate_time(dec, u, v)
-            assert _first_steps(search, 3, functools.partial(_reference_value, dec, u, v)) == [t_candidate]
+            # certified: nothing is scanned, and the peak is |U| at the candidate
+            assert not scans
             assert peak == _readout(dec, u, v)
             certified += 1
             continue
+        t_candidate = two_level_candidate_time(dec, u, v) if isinstance(strategy, TwoLevelSearch) else None
+        assert scans == [(strategy, t_candidate)]
         t_sample, lo, hi = _reference_window(dec, u, v, *_window(dec, u, v, strategy))
+        # the steps ask for the candidate, if any, and then the best window sample
+        seed = [] if t_candidate is None else [t_candidate]
+        value_at = functools.partial(_reference_value, dec, u, v)
+        assert _first_steps(_steps(dec, u, v, strategy), len(seed) + 1, value_at) == [*seed, t_sample]
         # never below the best window sample
         assert peak.fidelity >= abs(evolution_amplitude(dec, t_sample, u, v))
         spread = float(dec.eigenvalues[-1] - dec.eigenvalues[0])
@@ -620,21 +621,23 @@ def _certified_cases():
             yield g, u, v, sign * float(np.exp(rng.uniform(math.log(30.0), math.log(300.0))))
 
 
-def test_certified_readout_contract() -> None:
+def test_certified_readout_contract(scans) -> None:
     eps = float(np.finfo(float).eps)
     certified = 0
     for g, u, v, k in _certified_cases():
         h = hamiltonian_matrix(Generalized(k), g)
         dec = eigendecompose(h)
-        search = _start_searches([dec], u, v, TwoLevelSearch())[0]
-        asked = _first_steps(search, 2, functools.partial(_reference_value, dec, u, v))
-        expected, floor, beta = _reference_certificate(dec, u, v)
-        assert (len(asked) == 1) == expected
-        if not expected:
-            continue
+        scans.clear()
         peak = peak_fidelity(dec, u, v, TwoLevelSearch())
         t_star = two_level_candidate_time(dec, u, v)
-        assert peak.method == "two-level" and peak.t_star == t_star == asked[0]
+        expected, floor, beta = _reference_certificate(dec, u, v)
+        assert scans == ([] if expected else [(TwoLevelSearch(), t_star)])
+        if not expected:
+            # the search's steps ask for the candidate first
+            value_at = functools.partial(_reference_value, dec, u, v)
+            assert _first_steps(_steps(dec, u, v, TwoLevelSearch()), 1, value_at) == [t_star]
+            continue
+        assert peak.method == "two-level" and peak.t_star == t_star
         assert peak.fidelity == abs(evolution_amplitude(dec, t_star, u, v))
         # the 40-digit amplitude lies in the two-level bracket, up to the phase budget
         tol = float(np.abs(dec.eigenvalues).max()) * t_star * eps
@@ -644,9 +647,13 @@ def test_certified_readout_contract() -> None:
 
 
 @pytest.mark.parametrize("n, k", [(7, 143.2), (6, 300.0)])
-def test_merged_pair_is_not_certified(n, k) -> None:
+def test_merged_pair_is_not_certified(scans, n, k) -> None:
     # eigh's grouping merges the pair (ROADMAP item 1), so the top two groups carry no certificate
     dec = _decompose(Generalized(k), path_graph(n))
-    search = _start_searches([dec], 0, n - 1, TwoLevelSearch())[0]
-    assert len(_first_steps(search, 2, functools.partial(_reference_value, dec, 0, n - 1))) == 2
+    peak_fidelity(dec, 0, n - 1, TwoLevelSearch())
+    t_candidate = two_level_candidate_time(dec, 0, n - 1)
+    assert scans == [(TwoLevelSearch(), t_candidate)]
+    value_at = functools.partial(_reference_value, dec, 0, n - 1)
+    asked = _first_steps(_steps(dec, 0, n - 1, TwoLevelSearch()), 2, value_at)
+    assert asked[0] == t_candidate and len(asked) == 2
     assert not _reference_certificate(dec, 0, n - 1)[0]

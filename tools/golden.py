@@ -149,7 +149,7 @@ EXTRA = [
     "peak --graph path:6 --model generalized:inf --u 0 --v 5",
     "peak --graph path:6 --model loops:0,5,nan --u 0 --v 5",
     "analyze --graph file:nanloop6.txt --u 0 --v 5",
-    # sweeps whose peak searches run in lockstep
+    # sweeps of many k values, each peak searched on its own
     "sweep --graph path:6 --u 0 --v 5 --kmin 100 --kmax 190 --steps 16 --epsilon 0.1",
     "sweep --graph bipartite:2,5 --u 0 --v 1 --kmin 120 --kmax 260 --steps 12 --json",
     "sweep --graph path:20 --u 3 --v 16 --kmin -1.5 --kmax 1.5 --steps 12",
@@ -169,8 +169,8 @@ EXTRA = [
     "fidelity --graph path:6 --model adjacency --u 0 --v 5 --tmax -1e2 --samples 11",
     "peak --graph path:6 --model adjacency --u 0 --v 5 --strategy grid --tmax -1e2 --samples 11",
     "sweep --graph file:empty4.txt --u 0 --v 3 --kmin -1 --kmax 1 --steps 2 --tmax -2.5e1",
-    # sweeps decomposed in blocks of max(1, 2**14 // max(n*n, 2000)) k values:
-    # 5 blocks of 4, blocks of 2, one k per block, and the grid fallback in every block
+    # sweeps decomposed in blocks of max(1, 2**14 // (n*n)) k values: 5 blocks of 4,
+    # blocks of 2, one k per block, and the grid fallback in all 40 rows of one block
     "sweep --graph path:60 --u 3 --v 50 --kmin -1.5 --kmax 1.2 --steps 20",
     "sweep --graph cycle:90 --u 0 --v 45 --kmin -1 --kmax 1 --steps 7",
     "sweep --graph path:150 --u 0 --v 149 --kmin -0.9 --kmax 0.9 --steps 3",
@@ -229,6 +229,10 @@ EXTRA = [
     "peak --graph bipartite:2,8 --u 0 --v 1 --model generalized:20",
     "peak --graph bipartite:2,8 --u 0 --v 1 --model generalized:30",
     "sweep --graph path:6 --u 0 --v 5 --kmin 30 --kmax 60 --steps 4",
+    # certified, searched and merged-pair rows in one block: path:6 at k = 100 and 200 is
+    # certified and at 300 eigh merges the pair; bipartite:2,8 at 20 is searched and 30 certified
+    "sweep --graph path:6 --u 0 --v 5 --kmin 100 --kmax 300 --steps 3",
+    "sweep --graph bipartite:2,8 --u 0 --v 1 --kmin 20 --kmax 30 --steps 2",
 ]
 
 
