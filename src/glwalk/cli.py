@@ -9,6 +9,18 @@ to --out or stdout, and maps each failure to a single-line JSON error
 object on stderr and exit code 2 (usage, validation), 3 (numeric), or
 4 (I/O). A named graph and its edge list take the same cospectrality
 route: glwalk.cospectral decides which involution may prove a pair.
+
+build_parser is the one declaration of the flags. Besides the argparse
+parser it derives, per subcommand, a table of that subparser's own store
+actions, defaults and required options. parse_args reads argv through the
+table when every token after the subcommand is an exact option string, each
+value-taking option is followed by a value (not dash-led unless it is a
+negative number) that the option's type converts and its choices admit, and
+every required option is present; it then returns the namespace argparse
+would. Any other argv goes to argparse, so help, abbreviations,
+--flag=value and usage errors are argparse's own. JSON reports are written
+by _json, which gives the bytes of json.dumps(report, indent=2) without the
+pure-Python encoder that json uses whenever indent is set.
 """
 
 from __future__ import annotations
@@ -56,15 +68,77 @@ class UsageError(ValueError):
     pass
 
 
+#: argparse reads only -1 and -1.5 as negative numbers and takes -1.5e2 for an
+#: option; every float literal with a leading minus is read as a value
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse reads only -1 and -1.5 as negative numbers and takes -1.5e2
-        # for an option; read every float literal with a leading minus as a value
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+        #: subcommand -> (subparser, option string -> store action, defaults, required actions)
+        self._tables = {}
 
     def error(self, message):  # argparse would sys.exit; surface as JSON instead
         raise UsageError(message)
+
+    def parse_args(self, args=None, namespace=None):
+        argv = sys.argv[1:] if args is None else list(args)
+        known = self._read(argv) if namespace is None else None
+        return known if known is not None else super().parse_args(argv, namespace)
+
+    def _read(self, argv: list) -> argparse.Namespace | None:
+        """argparse's namespace for a well-formed argv (module docstring); None for any other."""
+        table = self._tables.get(argv[0]) if argv else None
+        if table is None:
+            return None
+        parser, options, defaults, required = table
+        values, seen = dict(defaults), set()
+        tokens = iter(argv[1:])
+        for token in tokens:
+            action = options.get(token)
+            if action is None:
+                return None
+            if action.nargs == 0:
+                value = action.const
+            else:
+                value = next(tokens, None)
+                if value is None or (value.startswith("-") and not _NEGATIVE_NUMBER.match(value)):
+                    return None
+                try:
+                    value = parser._get_value(action, value)
+                    parser._check_value(action, value)
+                except argparse.ArgumentError:
+                    return None
+            values[action.dest] = value
+            seen.add(action)
+        return argparse.Namespace(**values) if required <= seen else None
+
+
+def _defaults(parser: argparse.ArgumentParser) -> dict:
+    """What parse_known_args puts in a fresh namespace before it reads argv."""
+    values = {
+        action.dest: action.default
+        for action in parser._actions
+        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS
+    }
+    for dest, value in parser._defaults.items():
+        values.setdefault(dest, value)
+    return values
+
+
+def _table(parser: argparse.ArgumentParser, sub, name: str) -> tuple:
+    """(subparser, option string -> store action, defaults, required actions) of one subcommand."""
+    p = sub.choices[name]
+    options = {
+        option: action
+        for option, action in p._option_string_actions.items()
+        if isinstance(action, argparse._StoreConstAction)
+        or type(action) is argparse._StoreAction and action.nargs is None
+    }
+    defaults = _defaults(parser) | {sub.dest: name} | _defaults(p)
+    return p, options, defaults, {action for action in p._actions if action.required}
 
 
 def parse_graph(text: str) -> Graph:
@@ -298,6 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--involution", default=None, help="verify these comma-separated images instead of searching")
     p.set_defaults(handler=_cmd_analyze)
 
+    parser._tables = {name: _table(parser, sub, name) for name in sub.choices}
     return parser
 
 
@@ -314,6 +389,33 @@ _ERRORS = (
 )
 
 
+def _json(value, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2) for nested dicts with str keys, lists, str, int, float, bool and None."""
+    if isinstance(value, str):
+        return json.encoder.encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    inner = indent + "  "
+    if isinstance(value, list):
+        start, end = "[", "]"
+        if all(type(item) is float for item in value) and all(map(math.isfinite, value)):
+            items = list(map(float.__repr__, value))  # a curve, without a call per value
+        else:
+            items = [_json(item, inner) for item in value]
+    elif isinstance(value, dict):
+        start, end = "{", "}"
+        items = [json.encoder.encode_basestring_ascii(key) + ": " + _json(item, inner) for key, item in value.items()]
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return start + inner + ("," + inner).join(items) + indent + end if items else start + end
+
+
 def _report(args) -> str:
     graph = parse_graph(args.graph)
     graph.check_vertex(args.u)
@@ -326,7 +428,7 @@ def _report(args) -> str:
     header = {"schema_version": SCHEMA_VERSION, "graph": args.graph}
     if "model" in args:
         header["model"] = args.model
-    return json.dumps(header | {"u": args.u, "v": args.v} | body, indent=2) + "\n"
+    return _json(header | {"u": args.u, "v": args.v} | body) + "\n"
 
 
 def main(argv=None) -> int:

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import sys
 from pathlib import Path
@@ -11,6 +12,17 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 # make the shared oracles/generators helpers importable from every test module
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+GOLDEN_PATH = Path(__file__).resolve().parent.parent / "tools" / "golden.py"
+
+
+@pytest.fixture(scope="module")
+def golden():
+    """tools/golden.py, loaded as a module."""
+    spec = importlib.util.spec_from_file_location("golden", GOLDEN_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

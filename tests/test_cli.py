@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import argparse
 import json
 import math
+import random
+import shlex
+import sys
 import tracemalloc
 
 import numpy as np
@@ -970,6 +974,171 @@ def test_negative_numbers_in_scientific_notation(capsys, monkeypatch, tmp_path, 
         assert len(out.splitlines()) == 3
     else:
         assert (code, out, json.loads(err)["error"]["type"]) == (expected[0], "", expected[1])
+
+
+#: one well-formed argv per subcommand, every value taken from a flag's own token
+WELL_FORMED = {
+    "fidelity": "fidelity --graph path:6 --model adjacency --u 0 --v 5 --tmax 50 --samples 501",
+    "peak": "peak --graph bipartite:2,4 --model generalized:-1.5e2 --u 0 --v 1 --strategy grid --tmax 20 --samples 1001",
+    "sweep": "sweep --graph path:6 --u 0 --v 5 --kmin -1.5e2 --kmax 100 --steps 3 --threshold --epsilon 0.2",
+    "bound": "bound --graph path:6 --u 0 --v 5 --epsilon 0.1",
+    "analyze": "analyze --graph path:6 --u 0 --v 5 --involution 5,4,3,2,1,0",
+}
+#: the negative literals of test_negative_numbers_in_scientific_notation
+NEGATIVE_LITERALS = ["-1.5e2", "-2E+2", "-1e-1", "-1e2", "-1.e2", "-.5e1"]
+#: values put in place of a flag's value: bad types and choices, dash-led, empty and
+#: spaced strings, and negative literals
+SUBSTITUTES = [
+    "x", "abc", "nope", "-x", "", "-", "--", " 5", "1_0", "nan", "-inf", "grid", "two-level", "-1",
+    *NEGATIVE_LITERALS, "--graph", "-h",
+]
+
+
+def _same(a, b) -> bool:
+    return a == b or isinstance(a, float) and isinstance(b, float) and math.isnan(a) and math.isnan(b)
+
+
+def _read_or_decline(argv: list[str]) -> bool:
+    """Check the table read of argv against argparse; True when the table read it."""
+    parser = glwalk.cli.build_parser()
+    read = parser._read(argv)
+    try:
+        expected = vars(argparse.ArgumentParser.parse_args(parser, argv))
+    except (glwalk.cli.UsageError, SystemExit):  # a usage error, or help printed
+        assert read is None, argv
+        return False
+    if read is None:
+        return False
+    assert list(vars(read)) == list(expected), argv
+    assert all(_same(vars(read)[key], value) for key, value in expected.items()), argv
+    return True
+
+
+def _mutations(argv: list[str], rng: random.Random):
+    """Seeded malformed and unusual spellings of a well-formed argv."""
+    command, tokens = argv[0], argv[1:]
+    pairs = [i for i in range(len(tokens) - 1) if tokens[i].startswith("--") and not tokens[i + 1].startswith("--")]
+    mutations = [[name, *tokens] for name in ("bogus", "Peak", "-h", "")]
+    mutations += [[command, *mutated] for mutated in ([*tokens, "-h"], ["--help", *tokens], [*tokens, "--bogus", "1"])]
+    for i in pairs:
+        flag, value = tokens[i], tokens[i + 1]
+        head, tail = [command, *tokens[:i]], tokens[i + 2:]
+        mutations += [
+            [*head, flag, *tail],  # a dropped value
+            [*head, *tail],  # a dropped flag
+            [*head, flag, value, *tail, flag, value],  # a repeated flag
+            [*head, f"{flag}={value}", *tail],
+            [*head, flag[:-1], value, *tail],  # an abbreviation, such as --gra
+        ]
+        mutations += [[*head, flag, other, *tail] for other in SUBSTITUTES]
+    for _ in range(40):
+        mutated = list(tokens)
+        i, j = rng.randrange(len(mutated)), rng.randrange(len(mutated))
+        if rng.random() < 1 / 3:
+            del mutated[i]
+        elif rng.random() < 1 / 2:
+            mutated.insert(i, mutated[j])
+        else:
+            mutated[i], mutated[j] = mutated[j], mutated[i]
+        mutations.append([command, *mutated])
+    return mutations
+
+
+def test_table_read_returns_argparse_namespace_or_declines(golden) -> None:
+    commands = [shlex.split(command) for command in golden.corpus()]
+    read = [argv for argv in commands if _read_or_decline(argv)]
+    declined = [argv for argv in commands if argv not in read]
+    # argparse reads a joined --flag=value; the fidelity command lacks --model
+    assert [shlex.join(argv) for argv in declined] == [
+        "fidelity --graph path:6 --u 0 --v 5",
+        "sweep --graph path:6 --u 0 --v 5 --kmin=-1.5e2 --kmax 0 --steps 2",
+    ]
+    rng = random.Random(24)
+    for command, text in WELL_FORMED.items():
+        argv = text.split()
+        assert _read_or_decline(argv), command
+        for mutated in _mutations(argv, rng):
+            _read_or_decline(mutated)
+    # a repeated flag keeps its last value, and a negative literal is a value
+    for literal in NEGATIVE_LITERALS:
+        assert _read_or_decline([*WELL_FORMED["sweep"].split(), "--kmin", literal])
+    for argv in ([], ["-h"], ["peak"], ["bound", "--graph"]):
+        assert not _read_or_decline(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "peak --graph path:6 --model generalized:143 --u 0 --v 5",
+        "peak --graph path:6 --model adjacency --u 0 --v 5 --epsilon 1.5",  # threshold null
+        "analyze --graph path:4 --u 0 --v 1",  # first_divergence set, involution null
+        "analyze --graph path:6 --u 0 --v 5",  # first_divergence null, involution set
+        "bound --graph path:6 --u 0 --v 5 --epsilon 0.1",
+        "bound --graph path:40 --u 0 --v 39 --epsilon 1e-30",  # an infinite readout time
+        "sweep --graph path:6 --u 0 --v 5 --kmin 100 --kmax 200 --steps 3 --json",
+        "sweep --graph path:6 --u 0 --v 5 --kmin 100 --kmax 200 --steps 3 --epsilon 0.1 --json",
+        "fidelity --graph path:20 --model generalized:0.5 --u 3 --v 16 --tmax 40 --samples 20000 --json",
+    ],
+)
+def test_json_reports_equal_json_dumps(capsys, monkeypatch, argv) -> None:
+    reports = []
+    writer = glwalk.cli._json
+
+    def recorded(value, *indent):
+        text = writer(value, *indent)
+        if not indent:
+            reports.append((value, text))
+        return text
+
+    monkeypatch.setattr(glwalk.cli, "_json", recorded)
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, err, len(reports)) == (0, "", 1)
+    report, text = reports[0]
+    assert out == text + "\n" == json.dumps(report, indent=2) + "\n"
+
+
+def test_json_writer_leaves_equal_json_dumps() -> None:
+    leaves = [
+        math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e308, 1e16, 1e-7, 0.1, 2**53 + 1, -(10**30),
+        True, False, None, [], {}, "", np.float64(0.5), np.float64(math.nan), np.float64(-math.inf),
+        'a "quoted" \\ back\tslash\n\x00\x1f\x7f é ∞ \U0001f600 file:C:\\dir\\g.txt',
+    ]
+    values = [*leaves, leaves, {"leaves": leaves, "nested": [[], {}, [[1.5, None]], {"a": {"b": [True]}}]},
+              [1.5, 2.5], [1.5, math.nan], [np.float64(1.5), 2.5], [1.5, 2], [[0.25, 0.5], ["x"]]]
+    for value in values:
+        assert glwalk.cli._json(value) == json.dumps(value, indent=2), value
+    assert repr(np.float64(0.5)) != float.__repr__(np.float64(0.5))  # numpy 2 spells it np.float64(0.5)
+    for value in (np.int64(3), np.bool_(True), (1, 2), {1, 2}, [b"bytes"], {"k": object()}):
+        with pytest.raises(TypeError):
+            glwalk.cli._json(value)
+
+
+def test_well_formed_commands_skip_argparse(capsys, monkeypatch) -> None:
+    calls = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    runs = [argv.split() for argv in WELL_FORMED.values()]
+    runs += [[*argv, "--json"] for argv in runs]
+    for argv in runs:
+        with monkeypatch.context() as argparse_only:
+            argparse_only.setattr(glwalk.cli._Parser, "_read", lambda self, argv: None)
+            before = run_cli(capsys, *argv)
+        assert before[0] == 0 and calls, argv
+        calls.clear()
+        assert run_cli(capsys, *argv) == before
+        monkeypatch.setattr(sys, "argv", ["glwalk", *argv])
+        assert (main(None), *capsys.readouterr()) == before
+        assert calls == [], argv
+
+    code, out, err = run_cli(capsys, "peak", "--graph", "path:2", "--u", "0", "--v", "1")
+    assert (code, out) == (2, "") and len(calls) == 2  # the parser and the peak subparser
+    message = json.loads(err)["error"]
+    assert message == {"type": "usage", "message": "the following arguments are required: --model"}
 
 
 @pytest.mark.parametrize(

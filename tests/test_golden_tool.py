@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import importlib.util
 import json
 import re
 from pathlib import Path
@@ -8,15 +7,6 @@ from pathlib import Path
 import pytest
 
 REPO = Path(__file__).resolve().parent.parent
-GOLDEN_PATH = REPO / "tools" / "golden.py"
-
-
-@pytest.fixture(scope="module")
-def golden():
-    spec = importlib.util.spec_from_file_location("golden", GOLDEN_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _write(path: Path, results: dict) -> str:
