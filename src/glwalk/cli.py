@@ -19,8 +19,8 @@ negative number) that the option's type converts and its choices admit, and
 every required option is present; it then returns the namespace argparse
 would. Any other argv goes to argparse, so help, abbreviations,
 --flag=value and usage errors are argparse's own. JSON reports are written
-by _json, which gives the bytes of json.dumps(report, indent=2) without the
-pure-Python encoder that json uses whenever indent is set.
+by json.dumps(report, indent=2), which runs json's C encoder from Python
+3.13 on and its pure-Python encoder before.
 """
 
 from __future__ import annotations
@@ -389,33 +389,6 @@ _ERRORS = (
 )
 
 
-def _json(value, indent: str = "\n") -> str:
-    """json.dumps(value, indent=2) for nested dicts with str keys, lists, str, int, float, bool and None."""
-    if isinstance(value, str):
-        return json.encoder.encode_basestring_ascii(value)
-    if value is None or value is True or value is False:
-        return "null" if value is None else "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if math.isfinite(value):
-            return float.__repr__(value)
-        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
-    inner = indent + "  "
-    if isinstance(value, list):
-        start, end = "[", "]"
-        if all(type(item) is float for item in value) and all(map(math.isfinite, value)):
-            items = list(map(float.__repr__, value))  # a curve, without a call per value
-        else:
-            items = [_json(item, inner) for item in value]
-    elif isinstance(value, dict):
-        start, end = "{", "}"
-        items = [json.encoder.encode_basestring_ascii(key) + ": " + _json(item, inner) for key, item in value.items()]
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    return start + inner + ("," + inner).join(items) + indent + end if items else start + end
-
-
 def _report(args) -> str:
     graph = parse_graph(args.graph)
     graph.check_vertex(args.u)
@@ -428,7 +401,7 @@ def _report(args) -> str:
     header = {"schema_version": SCHEMA_VERSION, "graph": args.graph}
     if "model" in args:
         header["model"] = args.model
-    return _json(header | {"u": args.u, "v": args.v} | body) + "\n"
+    return json.dumps(header | {"u": args.u, "v": args.v} | body, indent=2) + "\n"
 
 
 def main(argv=None) -> int:

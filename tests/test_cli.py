@@ -1066,53 +1066,6 @@ def test_table_read_returns_argparse_namespace_or_declines(golden) -> None:
         assert not _read_or_decline(argv)
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        "peak --graph path:6 --model generalized:143 --u 0 --v 5",
-        "peak --graph path:6 --model adjacency --u 0 --v 5 --epsilon 1.5",  # threshold null
-        "analyze --graph path:4 --u 0 --v 1",  # first_divergence set, involution null
-        "analyze --graph path:6 --u 0 --v 5",  # first_divergence null, involution set
-        "bound --graph path:6 --u 0 --v 5 --epsilon 0.1",
-        "bound --graph path:40 --u 0 --v 39 --epsilon 1e-30",  # an infinite readout time
-        "sweep --graph path:6 --u 0 --v 5 --kmin 100 --kmax 200 --steps 3 --json",
-        "sweep --graph path:6 --u 0 --v 5 --kmin 100 --kmax 200 --steps 3 --epsilon 0.1 --json",
-        "fidelity --graph path:20 --model generalized:0.5 --u 3 --v 16 --tmax 40 --samples 20000 --json",
-    ],
-)
-def test_json_reports_equal_json_dumps(capsys, monkeypatch, argv) -> None:
-    reports = []
-    writer = glwalk.cli._json
-
-    def recorded(value, *indent):
-        text = writer(value, *indent)
-        if not indent:
-            reports.append((value, text))
-        return text
-
-    monkeypatch.setattr(glwalk.cli, "_json", recorded)
-    code, out, err = run_cli(capsys, *argv.split())
-    assert (code, err, len(reports)) == (0, "", 1)
-    report, text = reports[0]
-    assert out == text + "\n" == json.dumps(report, indent=2) + "\n"
-
-
-def test_json_writer_leaves_equal_json_dumps() -> None:
-    leaves = [
-        math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e308, 1e16, 1e-7, 0.1, 2**53 + 1, -(10**30),
-        True, False, None, [], {}, "", np.float64(0.5), np.float64(math.nan), np.float64(-math.inf),
-        'a "quoted" \\ back\tslash\n\x00\x1f\x7f é ∞ \U0001f600 file:C:\\dir\\g.txt',
-    ]
-    values = [*leaves, leaves, {"leaves": leaves, "nested": [[], {}, [[1.5, None]], {"a": {"b": [True]}}]},
-              [1.5, 2.5], [1.5, math.nan], [np.float64(1.5), 2.5], [1.5, 2], [[0.25, 0.5], ["x"]]]
-    for value in values:
-        assert glwalk.cli._json(value) == json.dumps(value, indent=2), value
-    assert repr(np.float64(0.5)) != float.__repr__(np.float64(0.5))  # numpy 2 spells it np.float64(0.5)
-    for value in (np.int64(3), np.bool_(True), (1, 2), {1, 2}, [b"bytes"], {"k": object()}):
-        with pytest.raises(TypeError):
-            glwalk.cli._json(value)
-
-
 def test_well_formed_commands_skip_argparse(capsys, monkeypatch) -> None:
     calls = []
     parse_known_args = argparse.ArgumentParser.parse_known_args
