@@ -53,8 +53,8 @@ from .errors import (
     ThresholdHypothesisError,
 )
 from .graphs import Graph, complete_bipartite, cycle_graph, from_edge_list, path_graph
-from .hamiltonians import Model, hamiltonian_matrix, parse_model
-from .spectral import eigendecompose, localization_mass
+from .hamiltonians import hamiltonian_matrix, parse_model
+from .spectral import eigendecompose, pair_spectrum
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -199,13 +199,13 @@ def _csv(columns, *values) -> str:
     return "".join(parts)
 
 
-def _decompose(graph: Graph, model: Model):
-    return eigendecompose(hamiltonian_matrix(model, graph))
+def _pair_spectrum(args, graph: Graph):
+    # the pair's record in the decomposition of the --model Hamiltonian
+    return pair_spectrum(eigendecompose(hamiltonian_matrix(parse_model(args.model), graph)), args.u, args.v)
 
 
 def _cmd_fidelity(args, graph: Graph) -> dict | str:
-    dec = _decompose(graph, parse_model(args.model))
-    curve = fidelity_curve(dec, args.u, args.v, args.tmax, args.samples)
+    curve = fidelity_curve(_pair_spectrum(args, graph), args.tmax, args.samples)
     if args.json:
         return {
             "times": curve.times.tolist(),
@@ -215,14 +215,15 @@ def _cmd_fidelity(args, graph: Graph) -> dict | str:
 
 
 def _cmd_peak(args, graph: Graph) -> dict:
-    dec = _decompose(graph, parse_model(args.model))
+    pair = _pair_spectrum(args, graph)
     if args.strategy == "grid":
         strategy = GridSearch(t_max=args.tmax, samples=args.samples)
     else:
         strategy = TwoLevelSearch(
             refine_window_fraction=args.window, refine_samples=args.refine_samples
         )
-    peak = peak_fidelity(dec, args.u, args.v, strategy)
+    # strategy by keyword, where bench/tracing.py's peak_fidelity hook reads it
+    peak = peak_fidelity(pair, strategy=strategy)
     try:
         res = k_threshold_two_class(graph, args.u, args.v, args.epsilon)
     except ThresholdHypothesisError as exc:
@@ -237,9 +238,6 @@ def _cmd_peak(args, graph: Graph) -> dict:
             "t_bound": _json_number(res.t_bound),
         }
         order = res.cospectrality_order
-    signs = sign_pattern(dec, args.u, args.v)
-    masses = localization_mass(dec, args.u, args.v)
-    top_masses = sorted((float(m) for m in masses), reverse=True)[:2]
     return {
         "fidelity": peak.fidelity,
         "probability": peak.fidelity**2,
@@ -247,8 +245,8 @@ def _cmd_peak(args, graph: Graph) -> dict:
         "method": peak.method,
         "threshold": threshold,
         "cospectrality_order": _json_number(order),
-        "sign_pattern": [s.value for s in signs.signs],
-        "localization_mass_top_groups": top_masses,
+        "sign_pattern": [s.value for s in sign_pattern(pair).signs],
+        "localization_mass_top_groups": sorted(pair.masses.tolist(), reverse=True)[:2],
     }
 
 
@@ -310,9 +308,8 @@ def _cmd_analyze(args, graph: Graph) -> dict:
                 involution = list(found)
         except InvolutionSearchLimitError:
             pass
-    adjacency = eigendecompose(graph.adjacency_matrix(with_loops=False))
+    adjacency = pair_spectrum(eigendecompose(graph.adjacency_matrix(with_loops=False)), args.u, args.v)
     cos = cospectrality(graph, args.u, args.v, adjacency, involution)
-    signs = sign_pattern(adjacency, args.u, args.v)
     divergence = None if cos.first_divergence is None else dataclasses.asdict(cos.first_divergence)
     return {
         "cospectrality_order": _json_number(cos.order),
@@ -320,7 +317,7 @@ def _cmd_analyze(args, graph: Graph) -> dict:
         "projector_cospectral": cos.infinite,
         "involution_searched": searched,
         "involution": involution,
-        "sign_pattern": [s.value for s in signs.signs],
+        "sign_pattern": [s.value for s in sign_pattern(adjacency).signs],
     }
 
 

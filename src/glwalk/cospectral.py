@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import CospectralityMismatchError, InvolutionSearchLimitError
 from .graphs import Graph
-from .spectral import EigenDecomposition, eigendecompose, group_eigenvalues, group_sums, pair_diagonals
+from .spectral import PairSpectrum, eigendecompose, pair_spectrum
 
 #: Sentinel for an infinite cospectrality order (supports c >= d comparisons).
 INFINITE = math.inf
@@ -144,7 +144,7 @@ def cospectrality(
     g: Graph,
     u: int,
     v: int,
-    adjacency: EigenDecomposition | None = None,
+    adjacency: PairSpectrum | None = None,
     involution: Sequence[int] | None = None,
 ) -> CospectralityResult:
     """Cospectrality order of the pair, proved by an involution or counted.
@@ -161,8 +161,9 @@ def cospectrality(
     diverging counts. Full agreement is certified as infinite after
     verifying (P_r)_{uu} = (P_r)_{vv} on every adjacency spectral projector;
     a group where they differ raises CospectralityMismatchError. adjacency
-    is the decomposition of g's loop-free adjacency matrix when the caller
-    holds it; otherwise the cross-check computes it.
+    is the pair's PairSpectrum in the decomposition of g's loop-free
+    adjacency matrix when the caller holds it; otherwise the cross-check
+    computes it.
     """
     g.check_vertex(u)
     g.check_vertex(v)
@@ -178,30 +179,29 @@ def cospectrality(
             divergence = WalkDivergence(length=k, count_u=cu, count_v=cv)
             return CospectralityResult(order=k - 1, first_divergence=divergence)
     if adjacency is None:
-        adjacency = eigendecompose(g.adjacency_matrix(with_loops=False))
-    diag_u, diag_v = pair_diagonals(adjacency, u, v)
-    difference = np.abs(diag_u - diag_v)
+        adjacency = pair_spectrum(eigendecompose(g.adjacency_matrix(with_loops=False)), u, v)
+    difference = np.abs(adjacency.diag_u - adjacency.diag_v)
     mismatched = np.flatnonzero(difference > PROJECTOR_DIAG_TOL)
     if mismatched.size:
         r = mismatched[0]
         raise CospectralityMismatchError(
             "walk counts and projector diagonals disagree; "
-            f"projector at eigenvalue {float(group_eigenvalues(adjacency)[r])} differs by {difference[r]:.3e}"
+            f"projector at eigenvalue {float(adjacency.means[r])} differs by {difference[r]:.3e}"
         )
     return CospectralityResult(order=INFINITE, first_divergence=None)
 
 
-def sign_pattern(dec: EigenDecomposition, u: int, v: int) -> SignPattern:
+def sign_pattern(pair: PairSpectrum) -> SignPattern:
     """Classify each eigenspace as PLUS, MINUS, NULL, or MIXED for the pair.
 
     With P_r the projector onto group r: NULL where P_r e_u and P_r e_v both
     have norm at most SIGN_TOL, else PLUS where P_r (e_u - e_v) has, MINUS
-    where P_r (e_u + e_v) has, MIXED otherwise. ||P_r x||^2 = x^T P_r x is the
-    group sum of the squared entries of x^T V, so the four squared norms are
-    O(n) group sums over rows u and v, compared with SIGN_TOL**2.
+    where P_r (e_u + e_v) has, MIXED otherwise. ||P_r x||^2 = x^T P_r x, so
+    the four squared norms are (P_r)_{uu}, (P_r)_{vv} and
+    (P_r)_{uu} + (P_r)_{vv} -+ 2 c_r, compared with SIGN_TOL**2.
     """
-    x, y = dec.eigenvectors[u], dec.eigenvectors[v]
-    norms = group_sums(np.array([x * x, y * y, (x - y) ** 2, (x + y) ** 2]), dec.group_sizes)
+    masses, twice = pair.masses, 2.0 * pair.couplings
+    norms = np.array([pair.diag_u, pair.diag_v, masses - twice, masses + twice])
     small = (norms <= SIGN_TOL**2).tolist()
     signs = []
     for null_u, null_v, plus, minus in zip(*small):

@@ -1,8 +1,10 @@
 """Exact spectral time evolution and peak-fidelity search.
 
-All operations take an EigenDecomposition of the Hamiltonian H and evaluate
-entries of U(t) = exp(-iHt) from the eigenpairs, so arbitrary times cost
-O(n) per entry with no time stepping.
+All operations take the PairSpectrum of a vertex pair (u, v) in an
+eigendecomposition of the Hamiltonian H (spectral.pair_spectrum) and
+evaluate U(t)_{u,v} = sum_j w_j * exp(-i*lambda_j*t), w = V[u]*V[v], from
+its eigenvalues and weights, so arbitrary times cost O(n) with no time
+stepping; no function here reads an eigenvector matrix.
 
 Uniform grids (fidelity curves, grid scans and the two-level refine window)
 factor each phase as a block start times an offset within the block, so S
@@ -12,8 +14,9 @@ in place of S*n exponentials held at once.
 
 A strategy checks its own settings when built. The peak searches of a
 block of spectra (the one spectrum of peak_fidelity, or a block of k values
-of sweep_peaks) share one group_sums over all of them for the two-level
-candidates and certificates; after that each search runs on its own.
+of sweep_peaks, whose records spectral.pair_spectra builds from one
+group_sums) take their two-level candidates and certificates together;
+after that each search runs on its own.
 
 The certificate: with U(t) = sum_r c_r * exp(-i*mu_r*t), c_r = (P_r)_{uv},
 take the two groups r, s most localized on {u, v}, the bulk weight
@@ -28,9 +31,9 @@ candidate alone and scans nothing. The certified searches of a block are
 read in one array step, one np.exp over their stacked phases and one
 (K,1,n) @ (K,n,1) np.matmul.
 
-Every other search scans its window, and its steps yield each time to
-evaluate and receive (|U|, U, U', U'') there, from one np.exp of the phases
--i*lambda, a dot with the weights w = V[u]*V[v] for U and one (n,) @ (n,2)
+Every other search scans its window and then calls evaluate(t) for each
+point it compares, which returns (|U|, U, U', U'') at t from one np.exp of
+the phases -i*lambda, a dot with the weights w for U and one (n,) @ (n,2)
 product with -i*lambda*w and -lambda**2*w for U' and U''. The refine is a
 safeguarded Newton ascent on |U|^2 from the best window sample, inside the
 bracket between that sample's neighbours: a step is kept only where |U|
@@ -52,7 +55,7 @@ not always match.
 from __future__ import annotations
 
 import math
-from collections.abc import Generator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +63,7 @@ import numpy as np
 from .errors import DegenerateGapError
 from .graphs import Graph
 from .hamiltonians import Generalized, hamiltonian_stack
-from .spectral import EigenDecomposition, eigendecompose_stack, group_sums
+from .spectral import PairSpectrum, eigendecompose_stack, pair_spectra
 
 #: the refine's Newton ascent stops once its next step or its trust radius is
 #: within REFINE_RELATIVE_WIDTH * max(1, |t|) over the bracket
@@ -133,16 +136,13 @@ class TwoLevelSearch:
             raise ValueError("need at least three refinement samples")
 
 
-def evolution_amplitude(dec: EigenDecomposition, t: float, u: int, v: int) -> complex:
-    """Entry (u, v) of exp(-iHt)."""
-    weights = dec.eigenvectors[u] * dec.eigenvectors[v]
-    return complex(np.exp(-1j * dec.eigenvalues * t) @ weights)
+def evolution_amplitude(pair: PairSpectrum, t: float) -> complex:
+    """Entry (u, v) of exp(-iHt) for the pair's decomposition of H."""
+    return complex(np.exp(-1j * pair.eigenvalues * t) @ pair.weights)
 
 
-def _uniform_series(
-    eigenvalues: np.ndarray, weights: np.ndarray, start: float, stop: float, samples: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Times np.linspace(start, stop, samples) and sum_r weights[r] * exp(-i*eigenvalues[r]*t) there.
+def _uniform_series(pair: PairSpectrum, start: float, stop: float, samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """Times np.linspace(start, stop, samples) and U(t) = sum_j w_j * exp(-i*lambda_j*t) there.
 
     Sample j = J*B + m, with B = isqrt(samples) and step h, takes its phase
     exp(-i*lam*t_j) as exp(-i*lam*t_{J*B}) * exp(-i*lam*m*h); the block
@@ -152,8 +152,8 @@ def _uniform_series(
     times = np.linspace(start, stop, samples)
     width = math.isqrt(samples)
     step = (stop - start) / (samples - 1)
-    offsets = weights * np.exp(-1j * np.outer(np.arange(width) * step, eigenvalues))
-    blocks = np.exp(-1j * np.outer(times[::width], eigenvalues))
+    offsets = pair.weights * np.exp(-1j * np.outer(np.arange(width) * step, pair.eigenvalues))
+    blocks = np.exp(-1j * np.outer(times[::width], pair.eigenvalues))
     return times, (blocks @ offsets.T).ravel()[:samples]
 
 
@@ -163,62 +163,50 @@ def _check_phases(t_max: float, eigenvalues: np.ndarray) -> None:
         raise ValueError(f"t_max {t_max!r} overflows the phases: max|eigenvalue| * t_max is not finite")
 
 
-def fidelity_curve(dec: EigenDecomposition, u: int, v: int, t_max: float, samples: int) -> FidelityCurve:
+def fidelity_curve(pair: PairSpectrum, t_max: float, samples: int) -> FidelityCurve:
     """Uniform sampling of the transfer probability on [0, t_max], endpoints included."""
     if not 0 < t_max < math.inf:
         raise ValueError(f"t_max must be positive and finite, got {t_max!r}")
     if samples < 2:
         raise ValueError("need at least two samples")
-    _check_phases(t_max, dec.eigenvalues)
-    weights = dec.eigenvectors[u] * dec.eigenvectors[v]
-    times, amplitudes = _uniform_series(dec.eigenvalues, weights, 0.0, t_max, samples)
+    _check_phases(t_max, pair.eigenvalues)
+    times, amplitudes = _uniform_series(pair, 0.0, t_max, samples)
     probabilities = np.abs(amplitudes) ** 2
     times.setflags(write=False)
     probabilities.setflags(write=False)
     return FidelityCurve(times=times, probabilities=probabilities)
 
 
-def _two_level_candidates(
-    decs: Sequence[EigenDecomposition], eigenvalues: np.ndarray, pairs: np.ndarray
-) -> tuple[list[float | DegenerateGapError], list[bool]]:
-    """two_level_candidate_time of each decomposition, or the error it raises, and whether it is certified.
+def _two_level_candidates(pairs: Sequence[PairSpectrum]) -> tuple[list[float | DegenerateGapError], list[bool]]:
+    """two_level_candidate_time of each pair spectrum, or the error it raises, and whether it is certified.
 
-    eigenvalues stacks the spectra (K, n) and pairs the rows V[u], V[v]
-    (K, 2, n). One group_sums over all K spectra gives every group's pair
-    mass (P_r)_{uu} + (P_r)_{vv}, coupling c_r = (P_r)_{uv} and eigenvalue
-    sum. A candidate is certified where the top two groups r, s by pair
-    mass have c_r * c_s < 0 and the floor L = |c_r| + |c_s| - beta is at
-    least 1 - CERTIFIED_SHORTFALL, with beta the sum of |c| over the other
-    groups; the floors of all K spectra are taken at once.
+    A candidate is certified where the top two groups r, s by pair mass have
+    c_r * c_s < 0 and the floor L = |c_r| + |c_s| - beta is at least
+    1 - CERTIFIED_SHORTFALL, with beta the sum of |c| over the other groups.
+    The groups of all the spectra are taken at once: one stable sort ranks
+    each spectrum's groups by falling mass, ties in group order.
     """
-    sizes = [size for dec in decs for size in dec.group_sizes]
-    rows = np.concatenate(
-        [(pairs**2).transpose(1, 0, 2), (pairs[:, 0] * pairs[:, 1])[None], eigenvalues[None]]
-    ).reshape(4, -1)
-    diag_u, diag_v, couplings, sums = group_sums(rows, sizes)
-    masses = diag_u + diag_v
-    means = (sums / sizes).tolist()
-    candidates: list[float | DegenerateGapError] = []
-    starts, tops, stop = [], [], 0
-    for dec in decs:
-        start, stop = stop, stop + len(dec.group_sizes)
-        starts.append(start)
-        if stop - start < 2:
-            candidates.append(DegenerateGapError("fewer than two eigenvalue groups; no beat frequency exists"))
-            tops.append((start, start))
-            continue
-        first, second = (start + np.argsort(-masses[start:stop], kind="stable")[:2]).tolist()
-        candidates.append(math.pi / abs(means[first] - means[second]))
-        tops.append((first, second))
-    first, second = np.array(tops).T
+    counts = np.array([len(pair.means) for pair in pairs])
+    starts = np.cumsum(counts) - counts
+    masses = np.concatenate([pair.masses for pair in pairs])
+    couplings = np.concatenate([pair.couplings for pair in pairs])
+    means = np.concatenate([pair.means for pair in pairs])
+    order = np.lexsort((-masses, np.repeat(np.arange(len(pairs)), counts)))
+    several = counts > 1
+    # a spectrum with one group takes it as both r and s: a zero gap and c_r*c_s >= 0
+    first, second = order[starts], order[starts + several]
     magnitudes = np.abs(couplings)
     # L = |c_r| + |c_s| - beta = 2 * (|c_r| + |c_s|) - the sum of |c| over the spectrum's groups
-    floors = (2.0 * (magnitudes[first] + magnitudes[second]) - np.add.reduceat(magnitudes, starts)).tolist()
-    signs = (couplings[first] * couplings[second]).tolist()
-    return candidates, [sign < 0 and floor >= 1.0 - CERTIFIED_SHORTFALL for sign, floor in zip(signs, floors)]
+    floors = 2.0 * (magnitudes[first] + magnitudes[second]) - np.add.reduceat(magnitudes, starts)
+    certified = (couplings[first] * couplings[second] < 0) & (floors >= 1.0 - CERTIFIED_SHORTFALL)
+    candidates: list[float | DegenerateGapError] = [
+        math.pi / gap if split else DegenerateGapError("fewer than two eigenvalue groups; no beat frequency exists")
+        for gap, split in zip(np.abs(means[first] - means[second]).tolist(), several.tolist())
+    ]
+    return candidates, certified.tolist()
 
 
-def two_level_candidate_time(dec: EigenDecomposition, u: int, v: int) -> float:
+def two_level_candidate_time(pair: PairSpectrum) -> float:
     """Half beat period of the two eigenvalue groups most localized on {u, v}.
 
     When transfer is dominated by two near-(e_u +- e_v)/sqrt(2) eigenvectors,
@@ -228,14 +216,13 @@ def two_level_candidate_time(dec: EigenDecomposition, u: int, v: int) -> float:
     group has no gap and raises DegenerateGapError, and callers should fall
     back to a grid search.
     """
-    pairs = np.array([(dec.eigenvectors[u], dec.eigenvectors[v])])
-    candidate = _two_level_candidates([dec], dec.eigenvalues[None], pairs)[0][0]
+    candidate = _two_level_candidates([pair])[0][0]
     if isinstance(candidate, DegenerateGapError):
         raise candidate
     return candidate
 
 
-def _ascend(t: float, value: tuple, lo: float, hi: float, radius: float):
+def _ascend(evaluate, t: float, value: tuple, lo: float, hi: float, radius: float) -> tuple[float, float]:
     # safeguarded Newton ascent on F = |U|^2 from the evaluated point t inside
     # [lo, hi]; value is (|U|, U, U', U'') at t. With g = Re(conj(U) U') and
     # h = |U'|^2 + Re(conj(U) U''), F' = 2g and F'' = 2h. A step is the Newton
@@ -244,8 +231,7 @@ def _ascend(t: float, value: tuple, lo: float, hi: float, radius: float):
     # otherwise the radius becomes half the rejected step. The ascent stops
     # at a step within REFINE_RELATIVE_WIDTH, or at one whose predicted rise
     # 2*g*s + h*s**2 of F is at most (2|U| + eps) * eps, what moving |U| <= 1
-    # by one rounding unit changes F by. Yields each time to evaluate,
-    # receives its value and returns the best point and its |U|.
+    # by one rounding unit changes F by. Returns the best point and its |U|.
     tol = REFINE_RELATIVE_WIDTH * max(1.0, abs(lo), abs(hi))
     f, g, h = _slope_curvature(value)
     while radius > tol:
@@ -254,7 +240,7 @@ def _ascend(t: float, value: tuple, lo: float, hi: float, radius: float):
         step = trial - t
         if abs(step) <= tol or (2.0 * g + h * step) * step <= (2.0 * f + _EPS) * _EPS:
             break
-        value = yield trial
+        value = evaluate(trial)
         if value[0] > f:
             t, (f, g, h) = trial, _slope_curvature(value)
         else:
@@ -268,35 +254,49 @@ def _slope_curvature(value: tuple) -> tuple[float, float, float]:
     return magnitude, (u.conjugate() * du).real, (du.conjugate() * du).real + (u.conjugate() * d2u).real
 
 
-def _search_steps(
-    strategy: GridSearch | TwoLevelSearch, eigenvalues: np.ndarray, weights: np.ndarray, t_candidate: float | None
-) -> Generator:
+def _evaluator(pair: PairSpectrum):
+    # evaluate(t) = (|U|, U, U', U'') at t, from one np.exp of the phases
+    phases = -1j * pair.eigenvalues
+    derivatives = np.stack([phases * pair.weights, -(pair.eigenvalues**2) * pair.weights], axis=-1)
+
+    def evaluate(t: float) -> tuple:
+        block = np.exp(phases * t)
+        value = complex(block @ pair.weights)
+        slope, curvature = (block @ derivatives).tolist()
+        return abs(value), value, slope, curvature
+
+    return evaluate
+
+
+def _search(
+    strategy: GridSearch | TwoLevelSearch, pair: PairSpectrum, t_candidate: float | None, evaluate
+) -> PeakResult:
     # one uncertified search, peak_fidelity's comparisons in order: the
     # candidate if any, the best sample of the window scan and the ascent from
     # it inside the bracket between its neighbors, with a trust radius of the
-    # smaller of the bracket width and 1/(2*spread). Yields each time to
-    # evaluate, receives (|U|, U, U', U'') there and returns the PeakResult
+    # smaller of the bracket width and 1/(2*spread). evaluate(t) gives
+    # (|U|, U, U', U'') at t
     if t_candidate is None:
-        _check_phases(strategy.t_max, eigenvalues)
+        _check_phases(strategy.t_max, pair.eigenvalues)
         samples, start, stop = strategy.samples, 0.0, strategy.t_max
         seed_method, best_t, best_f = "grid", 0.0, -1.0
     else:
         samples = strategy.refine_samples
         start = t_candidate * (1.0 - strategy.refine_window_fraction)
         stop = t_candidate * (1.0 + strategy.refine_window_fraction)
-        seed_method, best_t, best_f = "two-level", t_candidate, (yield t_candidate)[0]
-    times, amplitudes = _uniform_series(eigenvalues, weights, start, stop, samples)
+        seed_method, best_t, best_f = "two-level", t_candidate, evaluate(t_candidate)[0]
+    times, amplitudes = _uniform_series(pair, start, stop, samples)
     j = int(np.argmax(np.abs(amplitudes)))
     t_sample, lo, hi = float(times[j]), float(times[max(j - 1, 0)]), float(times[min(j + 1, samples - 1)])
-    spread = float(eigenvalues[-1] - eigenvalues[0])
+    spread = float(pair.eigenvalues[-1] - pair.eigenvalues[0])
     radius = min(hi - lo, 0.5 / spread) if spread > 0 else hi - lo
     # the reported fidelity is always a pointwise amplitude value
-    sample = yield t_sample
+    sample = evaluate(t_sample)
     if sample[0] > best_f:
         best_t, best_f = t_sample, sample[0]
         if seed_method == "two-level":
             seed_method = "refined"
-    t_refined, f_refined = yield from _ascend(t_sample, sample, lo, hi, radius)
+    t_refined, f_refined = _ascend(evaluate, t_sample, sample, lo, hi, radius)
     method = seed_method
     if f_refined > best_f:
         best_t, best_f = t_refined, f_refined
@@ -305,33 +305,27 @@ def _search_steps(
 
 
 def _peaks(
-    decs: Sequence[EigenDecomposition],
-    u: int,
-    v: int,
-    strategy: GridSearch | TwoLevelSearch,
-    fallback: GridSearch | None = None,
+    pairs: Sequence[PairSpectrum], strategy: GridSearch | TwoLevelSearch, fallback: GridSearch | None = None
 ) -> list[PeakResult]:
-    """peak_fidelity of each decomposition (all of one size), in input order.
+    """peak_fidelity of each pair spectrum (all of one size), in input order.
 
-    A decomposition whose two-level candidate raises DegenerateGapError is
+    A spectrum whose two-level candidate raises DegenerateGapError is
     searched with fallback instead; without a fallback the error
     propagates. The certified searches are read in one array step, and
-    every other one is scanned and driven through its steps on its own (see
-    the module docstring).
+    every other one is scanned and refined on its own (see the module
+    docstring).
     """
-    eigenvalues = np.array([dec.eigenvalues for dec in decs])
-    pairs = np.array([(dec.eigenvectors[u], dec.eigenvectors[v]) for dec in decs])
     if isinstance(strategy, TwoLevelSearch):
-        candidates, certified = _two_level_candidates(decs, eigenvalues, pairs)
+        candidates, certified = _two_level_candidates(pairs)
     else:
-        candidates, certified = [None] * len(decs), [False] * len(decs)
-    weights = pairs[:, 0] * pairs[:, 1]
-    phases = -1j * eigenvalues
-    peaks: list[PeakResult | None] = [None] * len(decs)
+        candidates, certified = [None] * len(pairs), [False] * len(pairs)
+    peaks: list[PeakResult | None] = [None] * len(pairs)
     read = [i for i, ok in enumerate(certified) if ok]
     if read:
-        blocks = np.exp(phases[read] * np.array([candidates[i] for i in read])[:, None])[:, None, :]
-        values = np.matmul(blocks, weights[read].astype(complex)[:, :, None]).ravel().tolist()
+        phases = -1j * np.array([pairs[i].eigenvalues for i in read])
+        blocks = np.exp(phases * np.array([candidates[i] for i in read])[:, None])[:, None, :]
+        weights = np.array([pairs[i].weights for i in read], dtype=complex)
+        values = np.matmul(blocks, weights[:, :, None]).ravel().tolist()
         for i, value in zip(read, values):
             peaks[i] = PeakResult(t_star=candidates[i], fidelity=abs(value), method="two-level")
     for i, candidate in enumerate(candidates):
@@ -342,23 +336,11 @@ def _peaks(
             if fallback is None:
                 raise candidate
             chosen, candidate = fallback, None
-        steps = _search_steps(chosen, eigenvalues[i], weights[i], candidate)
-        derivatives = np.stack([phases[i] * weights[i], -(eigenvalues[i] ** 2) * weights[i]], axis=-1)
-        t = next(steps)
-        while peaks[i] is None:
-            block = np.exp(phases[i] * t)
-            value = complex(block @ weights[i])
-            slope, curvature = (block @ derivatives).tolist()
-            try:
-                t = steps.send((abs(value), value, slope, curvature))
-            except StopIteration as done:
-                peaks[i] = done.value
+        peaks[i] = _search(chosen, pairs[i], candidate, _evaluator(pairs[i]))
     return peaks
 
 
-def peak_fidelity(
-    dec: EigenDecomposition, u: int, v: int, strategy: GridSearch | TwoLevelSearch
-) -> PeakResult:
+def peak_fidelity(pair: PairSpectrum, strategy: GridSearch | TwoLevelSearch) -> PeakResult:
     """Search for the peak of |U(t)_{u,v}|.
 
     TwoLevelSearch seeds at the two-level candidate time and refines inside
@@ -368,7 +350,7 @@ def peak_fidelity(
     takes the best of a uniform scan of [0, t_max] and refines between the
     neighbors of the best sample.
     """
-    return _peaks([dec], u, v, strategy)[0]
+    return _peaks([pair], strategy)[0]
 
 
 def sweep_peaks(graph: Graph, u: int, v: int, ks: Sequence[float], fallback: GridSearch) -> list[PeakResult]:
@@ -385,6 +367,7 @@ def sweep_peaks(graph: Graph, u: int, v: int, ks: Sequence[float], fallback: Gri
     peaks = []
     for i in range(0, len(ks), block):
         models = [Generalized(k) for k in ks[i : i + block]]
-        # passed as temporaries, the block's stack and decompositions are dropped before the next block
-        peaks += _peaks(eigendecompose_stack(hamiltonian_stack(models, graph)), u, v, TwoLevelSearch(), fallback)
+        # passed as temporaries, the block's stack and decompositions are dropped before its searches
+        pairs = pair_spectra(eigendecompose_stack(hamiltonian_stack(models, graph)), u, v)
+        peaks += _peaks(pairs, TwoLevelSearch(), fallback)
     return peaks

@@ -12,12 +12,22 @@ through its two sector blocks of about n/2 rows, whose solves together
 take about a quarter of the flops of the full one. Its eigenvectors
 satisfy V[n-1-x] = +-V[x] exactly; the results meet the residual and
 orthonormality contracts but are not bit-equal to those of the full solve.
+
+A vertex pair (u, v) reads a decomposition through its PairSpectrum: the
+eigenvalues, the weights V[u] * V[v] and, per degeneracy group, the
+projector entries (P_r)_{uu}, (P_r)_{vv} and (P_r)_{uv} and the mean
+eigenvalue. pair_spectra builds the records of a block of decompositions
+from rows u and v of each eigenvector matrix, read once, and one
+group_sums; every pair-level quantity the library reports derives from
+them, and no dense projector is formed.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -169,7 +179,10 @@ def group_sums(values: np.ndarray, sizes) -> np.ndarray:
     Each sum is bit-identical to np.sum of its run. np.add.reduceat starts a
     run from its first entry and adds the rest pairwise, while np.sum adds
     the whole run to zero pairwise, so a zero goes in front of every run.
+    Where every run holds one entry, that sum is the entry plus zero.
     """
+    if len(sizes) == values.shape[-1]:
+        return values + 0.0
     sizes = np.asarray(sizes)
     runs = np.arange(len(sizes))
     # every entry moves right by one slot per run that starts at or before it
@@ -179,19 +192,52 @@ def group_sums(values: np.ndarray, sizes) -> np.ndarray:
     return np.add.reduceat(padded, np.cumsum(sizes) - sizes + runs, axis=-1)
 
 
-def group_eigenvalues(decomposition: EigenDecomposition) -> np.ndarray:
-    """Mean eigenvalue of each degeneracy group, ordered by eigenvalue."""
-    sizes = decomposition.group_sizes
-    # np.mean of each group is its np.sum over its size
-    return group_sums(decomposition.eigenvalues, sizes) / sizes
+@dataclass(frozen=True)
+class PairSpectrum:
+    """What the vertex pair (u, v) reads of one decomposition.
+
+    Per eigenvector: the eigenvalues and the weights w = V[u] * V[v], so that
+    U(t)_{u,v} = sum_j w_j * exp(-i*eigenvalues_j*t). Per degeneracy group r,
+    with P_r the projector onto its eigenspace: diag_u = (P_r)_{uu}, diag_v =
+    (P_r)_{vv}, the couplings c_r = (P_r)_{uv} and the mean eigenvalues, each
+    bit-identical to np.sum or np.mean over the group's columns.
+    """
+
+    eigenvalues: np.ndarray
+    weights: np.ndarray
+    diag_u: np.ndarray
+    diag_v: np.ndarray
+    couplings: np.ndarray
+    means: np.ndarray
+
+    @property
+    def masses(self) -> np.ndarray:
+        """(P_r)_{uu} + (P_r)_{vv} per group; large values flag eigenspaces living on the pair."""
+        return self.diag_u + self.diag_v
 
 
-def pair_diagonals(decomposition: EigenDecomposition, u: int, v: int) -> np.ndarray:
-    """2 x groups array of (P_r)_{uu} and (P_r)_{vv}, P_r the projector onto group r's eigenspace."""
-    return group_sums(decomposition.eigenvectors[[u, v]] ** 2, decomposition.group_sizes)
+def pair_spectra(decompositions: Sequence[EigenDecomposition], u: int, v: int) -> list[PairSpectrum]:
+    """The PairSpectrum of (u, v) in each decomposition (all of one size), in input order.
+
+    Rows u and v of every eigenvector matrix are read once, and one
+    group_sums over the rows V[u]**2, V[v]**2, V[u]*V[v] and the eigenvalues
+    of all the decompositions gives every group's fields.
+    """
+    eigenvalues = np.array([dec.eigenvalues for dec in decompositions])
+    x = np.array([dec.eigenvectors[u] for dec in decompositions])
+    y = np.array([dec.eigenvectors[v] for dec in decompositions])
+    weights = x * y
+    sizes = np.array([size for dec in decompositions for size in dec.group_sizes])
+    # one entry per group, the decompositions' groups one after another
+    diag_u, diag_v, couplings, sums = group_sums(np.array([x * x, y * y, weights, eigenvalues]).reshape(4, -1), sizes)
+    means = sums / sizes
+    ends = list(accumulate(len(dec.group_sizes) for dec in decompositions))
+    return [
+        PairSpectrum(values, products, diag_u[a:b], diag_v[a:b], couplings[a:b], means[a:b])
+        for values, products, a, b in zip(eigenvalues, weights, [0, *ends], ends)
+    ]
 
 
-def localization_mass(decomposition: EigenDecomposition, u: int, v: int) -> np.ndarray:
-    """(P_r)_{uu} + (P_r)_{vv} per group; large values flag eigenspaces living on the pair."""
-    diag_u, diag_v = pair_diagonals(decomposition, u, v)
-    return diag_u + diag_v
+def pair_spectrum(decomposition: EigenDecomposition, u: int, v: int) -> PairSpectrum:
+    """The PairSpectrum of (u, v) in one decomposition."""
+    return pair_spectra([decomposition], u, v)[0]

@@ -29,6 +29,7 @@ from glwalk import (
     find_involution_pairing,
     hamiltonian_matrix,
     k_threshold_two_class,
+    pair_spectrum,
     path_graph,
     peak_fidelity,
     readout_time_bound,
@@ -87,7 +88,7 @@ def test_criterion_2_tuned_walk_guarantee_end_to_end() -> None:
         p6 = path_graph(6)
         start = time.perf_counter()
         dec = _decompose(Generalized(143.0), p6)
-        peak = peak_fidelity(dec, 0, 5, TwoLevelSearch())
+        peak = peak_fidelity(pair_spectrum(dec, 0, 5), TwoLevelSearch())
         elapsed = time.perf_counter() - start
         assert peak.fidelity >= 0.9
         assert peak.t_star < 2.0 * math.pi * 145.0**4
@@ -98,7 +99,7 @@ def test_criterion_3_standard_models_underperform() -> None:
     with criterion(3, "P6 adjacency/Laplacian/signless grid peaks < k=143 peak probability"):
         start = time.perf_counter()
         p6 = path_graph(6)
-        tuned = peak_fidelity(_decompose(Generalized(143.0), p6), 0, 5, TwoLevelSearch())
+        tuned = peak_fidelity(pair_spectrum(_decompose(Generalized(143.0), p6), 0, 5), TwoLevelSearch())
         tuned_probability = tuned.fidelity**2
         times = np.linspace(0.0, 500.0, 500001)  # dt = 1e-3
         for model in (Adjacency(), Laplacian(), SignlessLaplacian()):
@@ -120,8 +121,8 @@ def test_criterion_4_loop_weight_reduction_equivalence() -> None:
                 full = _decompose(Generalized(k), g)
                 reduced = _decompose(reduced_model(g, u, v, k), g)
                 diff = abs(
-                    abs(evolution_amplitude(full, t, u, v))
-                    - abs(evolution_amplitude(reduced, t, u, v))
+                    abs(evolution_amplitude(pair_spectrum(full, u, v), t))
+                    - abs(evolution_amplitude(pair_spectrum(reduced, u, v), t))
                 )
                 assert diff <= 1e-9
         assert time.perf_counter() - start < 1.0
@@ -154,7 +155,7 @@ def test_criterion_6_bipartite_threshold_and_dynamics() -> None:
         assert abs(res.k_min - 16.0 * 4.0**1.5 / (math.sqrt(0.1) * 2.0)) <= 0.1
         assert abs(res.k_min - 202.39) <= 0.1
 
-        peak = peak_fidelity(_decompose(Generalized(203.0), k24), 0, 1, TwoLevelSearch())
+        peak = peak_fidelity(pair_spectrum(_decompose(Generalized(203.0), k24), 0, 1), TwoLevelSearch())
         assert peak.fidelity >= 0.9
         assert peak.t_star < readout_time_bound(203.0 * 2.0, 4, 2)
         assert time.perf_counter() - start < 1.0
@@ -164,7 +165,7 @@ def _per_eigenvector_signs_hold(g, u: int, v: int) -> bool:
     # basis-independent reading of the per-eigenvector sign property: equal
     # projector diagonals per group; rank-1 groups must classify PLUS/MINUS/NULL
     dec = eigendecompose(g.adjacency_matrix(with_loops=False))
-    pattern = sign_pattern(dec, u, v)
+    pattern = sign_pattern(pair_spectrum(dec, u, v))
     for p, rank, sign in zip(projector_matrices(dec), dec.group_sizes, pattern.signs):
         if abs(p[u, u] - p[v, v]) > PROJECTOR_DIAG_TOL:
             return False
@@ -197,16 +198,18 @@ def test_criterion_7_property_suites() -> None:
             assert float(np.max(np.abs((vec * lam) @ vec.T - h))) <= tol
 
             # unitarity: outgoing probabilities sum to one
-            operator = np.array([[evolution_amplitude(dec, t, a, b) for b in range(n)] for a in range(n)])
+            operator = np.array(
+                [[evolution_amplitude(pair_spectrum(dec, a, b), t) for b in range(n)] for a in range(n)]
+            )
             assert abs(float(np.sum(np.abs(operator[u]) ** 2)) - 1.0) <= 1e-9
 
             # global phase and sign invariance of |U|
             c = float(rng.uniform(-5.0, 5.0))
-            base = abs(evolution_amplitude(dec, t, u, v))
+            base = abs(evolution_amplitude(pair_spectrum(dec, u, v), t))
             shifted = abs(
-                evolution_amplitude(eigendecompose(h + c * np.eye(n)), t, u, v)
+                evolution_amplitude(pair_spectrum(eigendecompose(h + c * np.eye(n)), u, v), t)
             )
-            negated = abs(evolution_amplitude(eigendecompose(-h), t, u, v))
+            negated = abs(evolution_amplitude(pair_spectrum(eigendecompose(-h), u, v), t))
             assert abs(base - shifted) <= 1e-10
             assert abs(base - negated) <= 1e-10
 
@@ -233,8 +236,8 @@ def test_criterion_7_property_suites() -> None:
 def test_criterion_8_perfect_transfer_sanity() -> None:
     with criterion(8, "P2 adjacency peak 1.0 at t = pi/2 within 1e-9 in < 1 ms"):
         dec = _decompose(Adjacency(), path_graph(2))
-        peak = peak_fidelity(dec, 0, 1, TwoLevelSearch())
+        peak = peak_fidelity(pair_spectrum(dec, 0, 1), TwoLevelSearch())
         assert abs(peak.fidelity - 1.0) <= 1e-9
         assert abs(peak.t_star - math.pi / 2.0) <= 1e-9
-        elapsed = _best_of(5, lambda: peak_fidelity(dec, 0, 1, TwoLevelSearch()))
+        elapsed = _best_of(5, lambda: peak_fidelity(pair_spectrum(dec, 0, 1), TwoLevelSearch()))
         assert elapsed < 1e-3

@@ -15,6 +15,7 @@ from glwalk import (
     eigendecompose,
     hamiltonian_matrix,
     k_threshold_two_class,
+    pair_spectrum,
     path_graph,
     peak_fidelity,
     q_threshold,
@@ -147,6 +148,6 @@ def test_threshold_soundness_end_to_end() -> None:
     res = k_threshold_two_class(p6, 0, 5, 0.1)
     k = float(math.ceil(res.k_min))
     dec = eigendecompose(hamiltonian_matrix(Generalized(k), p6))
-    peak = peak_fidelity(dec, 0, 5, TwoLevelSearch())
+    peak = peak_fidelity(pair_spectrum(dec, 0, 5), TwoLevelSearch())
     assert peak.fidelity > 0.9
     assert peak.t_star < readout_time_bound(k * 1.0, 2, 5)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import random
@@ -17,6 +18,7 @@ from glwalk import (
     eigendecompose,
     from_edge_list,
     hamiltonian_matrix,
+    pair_spectrum,
     path_graph,
     cospectrality,
     to_edge_list,
@@ -26,6 +28,7 @@ from glwalk import (
 import glwalk.bounds
 import glwalk.cli
 import glwalk.cospectral
+import glwalk.dynamics
 import glwalk.spectral
 from glwalk.cli import main
 from generators import PATH6_RELABELLED, late_divergence_graph, relabelled
@@ -62,7 +65,7 @@ def test_fidelity_generalized_zero_equals_adjacency(capsys) -> None:
 
 def test_fidelity_generalized_143_peaks_high(capsys) -> None:
     dec = eigendecompose(hamiltonian_matrix(Generalized(143.0), path_graph(6)))
-    t_star = two_level_candidate_time(dec, 0, 5)
+    t_star = two_level_candidate_time(pair_spectrum(dec, 0, 5))
     code, out, _ = run_cli(
         capsys,
         "fidelity", "--graph", "path:6", "--model", "generalized:143",
@@ -690,10 +693,10 @@ def _raise_overflow(*args):
     raise OverflowError("int too large to convert to float")
 
 
-def _skewed_pair_diagonals(dec, u, v):
-    diagonals = glwalk.spectral.pair_diagonals(dec, u, v)
-    diagonals[0] += 1e-3
-    return diagonals
+def _skewed_pair_spectrum(dec, u, v):
+    # the pair's record with every (P_r)_{uu} moved by 1e-3
+    pair = glwalk.spectral.pair_spectrum(dec, u, v)
+    return dataclasses.replace(pair, diag_u=pair.diag_u + 1e-3)
 
 
 @pytest.mark.parametrize(
@@ -709,7 +712,7 @@ def _skewed_pair_diagonals(dec, u, v):
         ),
         pytest.param(
             "bound --graph file:path6.txt --u 0 --v 5 --epsilon 0.1",
-            (glwalk.cospectral, "pair_diagonals", _skewed_pair_diagonals), "cospectrality-mismatch", 3,
+            (glwalk.cospectral, "pair_spectrum", _skewed_pair_spectrum), "cospectrality-mismatch", 3,
             id="cospectrality-mismatch",
         ),
         pytest.param(
@@ -793,20 +796,24 @@ def test_projector_cross_check_mismatch_is_numeric_error(capsys, monkeypatch, tm
     # walk counts call the path's endpoints cospectral; make every projector diagonal disagree
     doc = tmp_path / "path6.txt"
     doc.write_text(PATH6_RELABELLED, encoding="utf-8")
-    real = glwalk.cospectral.pair_diagonals
     adjacency = from_edge_list(PATH6_RELABELLED).adjacency_matrix(with_loops=False)
-    decomposed = []
+    decomposed, adjacency_decs = [], []
 
     def skewed(dec, u, v):
-        diagonals = real(dec, u, v)
-        diagonals[0] += 1e-3
-        return diagonals
+        # the adjacency record the cross-check reads, wherever it is built, skewed; no other
+        if any(dec is adjacency_dec for adjacency_dec in adjacency_decs):
+            return _skewed_pair_spectrum(dec, u, v)
+        return glwalk.spectral.pair_spectrum(dec, u, v)
 
     def recorded(h):
         decomposed.append(h)
-        return eigendecompose(h)
+        dec = eigendecompose(h)
+        if np.array_equal(h, adjacency):
+            adjacency_decs.append(dec)
+        return dec
 
-    monkeypatch.setattr(glwalk.cospectral, "pair_diagonals", skewed)
+    monkeypatch.setattr(glwalk.cospectral, "pair_spectrum", skewed)
+    monkeypatch.setattr(glwalk.cli, "pair_spectrum", skewed)
     monkeypatch.setattr(glwalk.cospectral, "eigendecompose", recorded)
     monkeypatch.setattr(glwalk.cli, "eigendecompose", recorded)
     code, out, err = run_cli(capsys, *argv, "--graph", f"file:{doc}", "--u", "0", "--v", "5")
@@ -1115,6 +1122,36 @@ def test_sweep_rows_equal_per_k_peak(capsys, graph, u, v, kmin, kmax, steps) -> 
         assert code == 0
         peak = json.loads(out)
         assert (row["fidelity"], row["t_star"]) == (peak["fidelity"], peak["t_star"])
+
+
+@pytest.mark.parametrize(
+    "argv, blocks",
+    [
+        ("peak --graph path:6 --u 0 --v 5 --model generalized:143", [1]),
+        ("peak --graph bipartite:2,5 --u 0 --v 1 --model generalized:-200 --strategy grid --samples 401", [1]),
+        ("analyze --graph path:6 --u 0 --v 5", [1]),
+        ("fidelity --graph path:6 --u 0 --v 5 --model adjacency --tmax 10 --samples 11", [1]),
+        ("sweep --graph path:6 --u 0 --v 5 --kmin 100 --kmax 190 --steps 8 --epsilon 0.1", [8]),
+        # blocks of 4, 4 and 1 k values
+        ("sweep --graph path:60 --u 3 --v 50 --kmin -1.5 --kmax 1.2 --steps 9", [4, 4, 1]),
+    ],
+    ids=["peak", "peak-grid", "analyze", "fidelity", "sweep", "sweep-blocks"],
+)
+def test_each_command_reads_the_pair_once_per_block(capsys, monkeypatch, argv, blocks) -> None:
+    # rows u and v of each eigenvector matrix are read once: one pair_spectra call per
+    # command, or per sweep block, whose records every later step reads
+    calls = []
+    pair_spectra = glwalk.spectral.pair_spectra
+
+    def counted(decompositions, u, v):
+        calls.append(len(decompositions))
+        return pair_spectra(decompositions, u, v)
+
+    monkeypatch.setattr(glwalk.spectral, "pair_spectra", counted)
+    monkeypatch.setattr(glwalk.dynamics, "pair_spectra", counted)
+    code, _, err = run_cli(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert calls == blocks
 
 
 def test_sweep_memory_does_not_grow_with_steps(capsys) -> None:

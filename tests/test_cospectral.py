@@ -20,14 +20,13 @@ from glwalk import (
     find_involution_pairing,
     from_edge_list,
     hamiltonian_matrix,
-    localization_mass,
+    pair_spectrum,
     path_graph,
     sign_pattern,
     verify_involution,
 )
 import glwalk.cospectral
 from glwalk.cospectral import INT64_MAX, PROJECTOR_DIAG_TOL, parse_permutation
-from glwalk.spectral import group_eigenvalues
 from oracles import projector_matrices, walk_count_oracle
 
 
@@ -171,19 +170,19 @@ def test_cospectrality_rejects_equal_vertices() -> None:
 def test_sign_pattern_p2() -> None:
     # adjacency-model Hamiltonian H = -A: the symmetric eigenvector comes first
     h = hamiltonian_matrix(Adjacency(), path_graph(2))
-    pattern = sign_pattern(eigendecompose(h), 0, 1)
+    pattern = sign_pattern(pair_spectrum(eigendecompose(h), 0, 1))
     assert pattern.signs == (GroupSign.PLUS, GroupSign.MINUS)
     assert pattern.consistent
 
 
 def test_sign_pattern_p6_endpoints_never_mixed() -> None:
-    pattern = sign_pattern(_adjacency_dec(path_graph(6)), 0, 5)
+    pattern = sign_pattern(pair_spectrum(_adjacency_dec(path_graph(6)), 0, 5))
     assert pattern.consistent
     assert set(pattern.signs) <= {GroupSign.PLUS, GroupSign.MINUS}
 
 
 def test_sign_pattern_p4_has_mixed_group() -> None:
-    pattern = sign_pattern(_adjacency_dec(path_graph(4)), 0, 1)
+    pattern = sign_pattern(pair_spectrum(_adjacency_dec(path_graph(4)), 0, 1))
     assert GroupSign.MIXED in pattern.signs
 
 
@@ -191,25 +190,25 @@ def test_sign_pattern_null_group() -> None:
     # one edge plus two isolated vertices: the zero eigenspace never touches
     # the edge pair, so its group classifies as NULL for (0, 1)
     g = Graph(n=4, edges=frozenset({(0, 1)}))
-    pattern = sign_pattern(_adjacency_dec(g), 0, 1)
+    pattern = sign_pattern(pair_spectrum(_adjacency_dec(g), 0, 1))
     assert pattern.signs == (GroupSign.MINUS, GroupSign.NULL, GroupSign.PLUS)
 
 
 def test_localization_mass_p2() -> None:
-    masses = localization_mass(_adjacency_dec(path_graph(2)), 0, 1)
+    masses = pair_spectrum(_adjacency_dec(path_graph(2)), 0, 1).masses
     assert np.allclose(masses, [1.0, 1.0], atol=1e-12)
 
 
 def test_localization_mass_concentrates_under_large_loops() -> None:
     dec = eigendecompose(hamiltonian_matrix(LoopPerturbed(0, 5, -143.0), path_graph(6)))
-    masses = localization_mass(dec, 0, 5)
-    eigenvalues = group_eigenvalues(dec)
-    top_two = np.argsort(-np.abs(eigenvalues))[:2]
+    pair = pair_spectrum(dec, 0, 5)
+    masses = pair.masses
+    top_two = np.argsort(-np.abs(pair.means))[:2]
     assert masses[top_two].sum() >= 2.0 - 0.05
 
 
 def test_localization_mass_edgeless() -> None:
-    masses = localization_mass(_adjacency_dec(Graph(n=3)), 0, 1)
+    masses = pair_spectrum(_adjacency_dec(Graph(n=3)), 0, 1).masses
     assert len(masses) == 1
     assert masses[0] == pytest.approx(2.0, abs=1e-12)
 
@@ -285,7 +284,7 @@ def _per_eigenvector_signs_hold(g: Graph, u: int, v: int) -> bool:
     eigenbasis still exists.
     """
     dec = _adjacency_dec(g)
-    pattern = sign_pattern(dec, u, v)
+    pattern = sign_pattern(pair_spectrum(dec, u, v))
     for p, rank, sign in zip(projector_matrices(dec), dec.group_sizes, pattern.signs):
         if abs(p[u, u] - p[v, v]) > PROJECTOR_DIAG_TOL:
             return False
@@ -314,7 +313,7 @@ def test_involution_implies_infinite_implies_sign_property() -> None:
             assert _per_eigenvector_signs_hold(g, u, v)
             # with a simple relevant spectrum the group-level pattern is clean too
             if all(rank == 1 for rank in _adjacency_dec(g).group_sizes):
-                assert sign_pattern(_adjacency_dec(g), u, v).consistent
+                assert sign_pattern(pair_spectrum(_adjacency_dec(g), u, v)).consistent
     assert found >= 10  # the implication chain must not be vacuous
 
 

@@ -26,13 +26,15 @@ from glwalk import (
     fidelity_curve,
     hamiltonian_matrix,
     hamiltonian_stack,
+    pair_spectrum,
     path_graph,
     peak_fidelity,
     sweep_peaks,
     two_level_candidate_time,
 )
 import glwalk.dynamics
-from glwalk.dynamics import CERTIFIED_SHORTFALL, REFINE_RELATIVE_WIDTH, _peaks, _search_steps, _uniform_series
+from glwalk.dynamics import CERTIFIED_SHORTFALL, REFINE_RELATIVE_WIDTH, _peaks, _search, _uniform_series
+from glwalk.spectral import pair_spectra
 from oracles import amplitude_oracle, dense_peak, group_runs, mp_amplitude, unitary_oracle
 
 
@@ -40,17 +42,21 @@ def _decompose(model, graph):
     return eigendecompose(hamiltonian_matrix(model, graph))
 
 
+def _pair(model, graph, u, v):
+    return pair_spectrum(_decompose(model, graph), u, v)
+
+
 def _operator(dec, t):
     # exp(-iHt) entry by entry from evolution_amplitude
-    return np.array([[evolution_amplitude(dec, t, a, b) for b in range(dec.n)] for a in range(dec.n)])
+    return np.array([[evolution_amplitude(pair_spectrum(dec, a, b), t) for b in range(dec.n)] for a in range(dec.n)])
 
 
 def test_p2_amplitude_is_i_sin_t() -> None:
-    dec = _decompose(Adjacency(), path_graph(2))
+    pair = _pair(Adjacency(), path_graph(2), 0, 1)
     for t in (0.3, math.pi / 2, 2.0, 5.7):
-        amp = evolution_amplitude(dec, t, 0, 1)
+        amp = evolution_amplitude(pair, t)
         assert cmath.isclose(amp, 1j * math.sin(t), abs_tol=1e-12)
-    assert abs(evolution_amplitude(dec, math.pi / 2, 0, 1)) == pytest.approx(1.0, abs=1e-12)
+    assert abs(evolution_amplitude(pair, math.pi / 2)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_time_zero_is_identity() -> None:
@@ -58,10 +64,10 @@ def test_time_zero_is_identity() -> None:
     g = random_graph(rng, n_max=8)
     dec = _decompose(random_model(rng, g), g)
     for u in range(g.n):
-        assert evolution_amplitude(dec, 0.0, u, u) == pytest.approx(1.0, abs=1e-12)
+        assert evolution_amplitude(pair_spectrum(dec, u, u), 0.0) == pytest.approx(1.0, abs=1e-12)
         for v in range(g.n):
             if v != u:
-                assert abs(evolution_amplitude(dec, 0.0, u, v)) <= 1e-12
+                assert abs(evolution_amplitude(pair_spectrum(dec, u, v), 0.0)) <= 1e-12
 
 
 def test_p3_laplacian_matches_exponential_oracle() -> None:
@@ -69,54 +75,53 @@ def test_p3_laplacian_matches_exponential_oracle() -> None:
     h = hamiltonian_matrix(Laplacian(), p3)
     dec = eigendecompose(h)
     expected = unitary_oracle(h, 1.0)[0, 2]
-    assert abs(evolution_amplitude(dec, 1.0, 0, 2) - expected) <= 1e-9
+    assert abs(evolution_amplitude(pair_spectrum(dec, 0, 2), 1.0) - expected) <= 1e-9
 
 
 def test_transfer_probability_p2() -> None:
-    dec = _decompose(Adjacency(), path_graph(2))
-    assert abs(evolution_amplitude(dec, math.pi / 2, 0, 1)) ** 2 == pytest.approx(1.0, abs=1e-12)
-    assert abs(evolution_amplitude(dec, math.pi, 0, 1)) ** 2 <= 1e-12
+    pair = _pair(Adjacency(), path_graph(2), 0, 1)
+    assert abs(evolution_amplitude(pair, math.pi / 2)) ** 2 == pytest.approx(1.0, abs=1e-12)
+    assert abs(evolution_amplitude(pair, math.pi)) ** 2 <= 1e-12
 
 
 def test_p6_time_sweep_matches_oracle() -> None:
     p6 = path_graph(6)
     h = hamiltonian_matrix(Adjacency(), p6)
-    dec = eigendecompose(h)
+    pair = pair_spectrum(eigendecompose(h), 0, 5)
     for t in np.linspace(0.5, 30.0, 12):
         expected = abs(unitary_oracle(h, float(t))[0, 5]) ** 2
-        assert abs(evolution_amplitude(dec, float(t), 0, 5)) ** 2 == pytest.approx(expected, abs=1e-9)
+        assert abs(evolution_amplitude(pair, float(t))) ** 2 == pytest.approx(expected, abs=1e-9)
 
 
 def test_fidelity_curve_p2() -> None:
-    dec = _decompose(Adjacency(), path_graph(2))
-    curve = fidelity_curve(dec, 0, 1, math.pi, 3)
+    pair = _pair(Adjacency(), path_graph(2), 0, 1)
+    curve = fidelity_curve(pair, math.pi, 3)
     assert np.allclose(curve.times, [0.0, math.pi / 2, math.pi])
     assert np.allclose(curve.probabilities, [0.0, 1.0, 0.0], atol=1e-12)
 
-    endpoints = fidelity_curve(dec, 0, 1, 2.0, 2)
+    endpoints = fidelity_curve(pair, 2.0, 2)
     assert list(endpoints.times) == [0.0, 2.0]
 
     with pytest.raises(ValueError):
-        fidelity_curve(dec, 0, 1, 0.0, 5)
+        fidelity_curve(pair, 0.0, 5)
     with pytest.raises(ValueError):
-        fidelity_curve(dec, 0, 1, 1.0, 1)
+        fidelity_curve(pair, 1.0, 1)
 
 
 def test_fidelity_curve_covers_two_level_beat() -> None:
-    dec = _decompose(Generalized(143.0), path_graph(6))
-    t_star = two_level_candidate_time(dec, 0, 5)
-    curve = fidelity_curve(dec, 0, 5, 2.0 * t_star, 4001)
+    pair = _pair(Generalized(143.0), path_graph(6), 0, 5)
+    t_star = two_level_candidate_time(pair)
+    curve = fidelity_curve(pair, 2.0 * t_star, 4001)
     assert float(curve.probabilities.max()) >= 0.81
 
 
 def test_two_level_candidate_p2() -> None:
-    dec = _decompose(Adjacency(), path_graph(2))
-    assert two_level_candidate_time(dec, 0, 1) == pytest.approx(math.pi / 2, rel=1e-12)
+    assert two_level_candidate_time(_pair(Adjacency(), path_graph(2), 0, 1)) == pytest.approx(math.pi / 2, rel=1e-12)
 
 
 def test_two_level_candidate_matches_dense_argmax() -> None:
     dec = _decompose(LoopPerturbed(0, 5, -143.0), path_graph(6))
-    t_star = two_level_candidate_time(dec, 0, 5)
+    t_star = two_level_candidate_time(pair_spectrum(dec, 0, 5))
     grid = np.linspace(0.0, 2.0 * t_star, 20001)
     t_best, _ = dense_peak(dec, 0, 5, grid)
     assert abs(t_star - t_best) / t_best <= 0.01
@@ -124,44 +129,43 @@ def test_two_level_candidate_matches_dense_argmax() -> None:
 
 def test_two_level_candidate_near_first_lobe_k24() -> None:
     dec = _decompose(LoopPerturbed(0, 1, 50.0), complete_bipartite(2, 4))
-    t_star = two_level_candidate_time(dec, 0, 1)
+    pair = pair_spectrum(dec, 0, 1)
+    t_star = two_level_candidate_time(pair)
     lobe = np.linspace(0.9 * t_star, 1.1 * t_star, 20001)
     t_best, _ = dense_peak(dec, 0, 1, lobe)
     assert abs(t_star - t_best) / t_best <= 0.01
     # the refined search beats every point of a coarse global scan
-    peak = peak_fidelity(dec, 0, 1, TwoLevelSearch())
+    peak = peak_fidelity(pair, TwoLevelSearch())
     coarse = np.linspace(0.0, 2.0 * t_star, 101)
     _, coarse_best = dense_peak(dec, 0, 1, coarse)
     assert peak.fidelity >= coarse_best
 
 
 def test_two_level_degenerate_gap() -> None:
-    dec = _decompose(Adjacency(), Graph(n=3))
+    pair = _pair(Adjacency(), Graph(n=3), 0, 1)
     with pytest.raises(DegenerateGapError):
-        two_level_candidate_time(dec, 0, 1)
+        two_level_candidate_time(pair)
     with pytest.raises(DegenerateGapError):
-        peak_fidelity(dec, 0, 1, TwoLevelSearch())
+        peak_fidelity(pair, TwoLevelSearch())
 
 
 def test_peak_p2_two_level() -> None:
-    dec = _decompose(Adjacency(), path_graph(2))
-    peak = peak_fidelity(dec, 0, 1, TwoLevelSearch())
+    peak = peak_fidelity(_pair(Adjacency(), path_graph(2), 0, 1), TwoLevelSearch())
     assert peak.fidelity == pytest.approx(1.0, abs=1e-9)
     assert peak.t_star == pytest.approx(math.pi / 2, abs=1e-9)
     assert peak.method == "two-level"
 
 
 def test_peak_p6_generalized_143() -> None:
-    dec = _decompose(Generalized(143.0), path_graph(6))
-    peak = peak_fidelity(dec, 0, 5, TwoLevelSearch())
+    peak = peak_fidelity(_pair(Generalized(143.0), path_graph(6), 0, 5), TwoLevelSearch())
     assert peak.fidelity >= 0.9
     assert peak.t_star < 2.0 * math.pi * 145.0**4
 
 
 def test_peak_grid_below_tuned_value() -> None:
     p6 = path_graph(6)
-    grid_peak = peak_fidelity(_decompose(Adjacency(), p6), 0, 5, GridSearch(200.0, 200000))
-    tuned = peak_fidelity(_decompose(Generalized(143.0), p6), 0, 5, TwoLevelSearch())
+    grid_peak = peak_fidelity(_pair(Adjacency(), p6, 0, 5), GridSearch(200.0, 200000))
+    tuned = peak_fidelity(_pair(Generalized(143.0), p6, 0, 5), TwoLevelSearch())
     assert grid_peak.fidelity < tuned.fidelity
 
 
@@ -169,26 +173,24 @@ def test_peak_result_reevaluates() -> None:
     rng = np.random.default_rng(43)
     for _ in range(10):
         g = random_graph(rng, n_max=8, allow_loops=False)
-        dec = _decompose(Adjacency(), g)
         u, v = (int(x) for x in rng.choice(g.n, size=2, replace=False))
+        pair = _pair(Adjacency(), g, u, v)
         try:
-            peak = peak_fidelity(dec, u, v, TwoLevelSearch())
+            peak = peak_fidelity(pair, TwoLevelSearch())
         except DegenerateGapError:
-            peak = peak_fidelity(dec, u, v, GridSearch(30.0, 3001))
-        assert peak.fidelity == pytest.approx(
-            abs(evolution_amplitude(dec, peak.t_star, u, v)), abs=1e-12
-        )
+            peak = peak_fidelity(pair, GridSearch(30.0, 3001))
+        assert peak.fidelity == pytest.approx(abs(evolution_amplitude(pair, peak.t_star)), abs=1e-12)
         assert peak.method in ("two-level", "grid", "refined")
 
 
 def test_peak_strategy_validation() -> None:
-    dec = _decompose(Adjacency(), path_graph(2))
+    pair = _pair(Adjacency(), path_graph(2), 0, 1)
     with pytest.raises(ValueError):
-        peak_fidelity(dec, 0, 1, GridSearch(-1.0, 100))
+        peak_fidelity(pair, GridSearch(-1.0, 100))
     with pytest.raises(ValueError):
-        peak_fidelity(dec, 0, 1, GridSearch(1.0, 2))
+        peak_fidelity(pair, GridSearch(1.0, 2))
     with pytest.raises(ValueError):
-        peak_fidelity(dec, 0, 1, TwoLevelSearch(refine_window_fraction=1.5))
+        peak_fidelity(pair, TwoLevelSearch(refine_window_fraction=1.5))
 
 
 def test_unitarity_rows() -> None:
@@ -209,8 +211,8 @@ def test_amplitude_symmetric_in_endpoints() -> None:
         dec = _decompose(random_model(rng, g), g)
         t = float(rng.uniform(0.1, 20.0))
         u, v = (int(x) for x in rng.integers(0, g.n, size=2))
-        forward = evolution_amplitude(dec, t, u, v)
-        backward = evolution_amplitude(dec, t, v, u)
+        forward = evolution_amplitude(pair_spectrum(dec, u, v), t)
+        backward = evolution_amplitude(pair_spectrum(dec, v, u), t)
         assert abs(forward - backward) <= 1e-12
 
 
@@ -221,10 +223,10 @@ def test_global_phase_and_sign_invariance() -> None:
         h = hamiltonian_matrix(random_model(rng, g), g)
         t = float(rng.uniform(0.1, 20.0))
         u, v = (int(x) for x in rng.integers(0, g.n, size=2))
-        base = abs(evolution_amplitude(eigendecompose(h), t, u, v))
+        base = abs(evolution_amplitude(pair_spectrum(eigendecompose(h), u, v), t))
         c = float(rng.uniform(-5.0, 5.0))
-        shifted = abs(evolution_amplitude(eigendecompose(h + c * np.eye(g.n)), t, u, v))
-        negated = abs(evolution_amplitude(eigendecompose(-h), t, u, v))
+        shifted = abs(evolution_amplitude(pair_spectrum(eigendecompose(h + c * np.eye(g.n)), u, v), t))
+        negated = abs(evolution_amplitude(pair_spectrum(eigendecompose(-h), u, v), t))
         assert abs(base - shifted) <= 1e-10
         assert abs(base - negated) <= 1e-10
 
@@ -254,12 +256,13 @@ def test_amplitude_series_matches_pointwise() -> None:
     dec = _decompose(Adjacency(), path_graph(5))
     times = np.linspace(0.0, 12.0, 7)
     series = amplitude_oracle(dec, times, 0, 4)
+    pair = pair_spectrum(dec, 0, 4)
     for t, amp in zip(times, series):
-        assert cmath.isclose(amp, evolution_amplitude(dec, float(t), 0, 4), abs_tol=1e-13)
+        assert cmath.isclose(amp, evolution_amplitude(pair, float(t)), abs_tol=1e-13)
 
 
 def _pair_series(dec, u, v, start, stop, samples):
-    return _uniform_series(dec.eigenvalues, dec.eigenvectors[u] * dec.eigenvectors[v], start, stop, samples)
+    return _uniform_series(pair_spectrum(dec, u, v), start, stop, samples)
 
 
 @pytest.mark.parametrize("samples", [2, 3, 7, 100, 101, 1009, 10000])
@@ -281,7 +284,7 @@ def test_uniform_series_matches_direct(samples) -> None:
 def test_uniform_series_within_phase_budget_on_refine_window() -> None:
     # path:6 at k = 143: t* is about 6.6e8, so phases reach about 1e11 rad
     dec = _decompose(Generalized(143.0), path_graph(6))
-    t_star = two_level_candidate_time(dec, 0, 5)
+    t_star = two_level_candidate_time(pair_spectrum(dec, 0, 5))
     lo, hi = 0.5 * t_star, 1.5 * t_star
     times, series = _pair_series(dec, 0, 5, lo, hi, 2000)
     budget = 4.0 * float(np.max(np.abs(dec.eigenvalues))) * hi * np.finfo(float).eps
@@ -291,8 +294,8 @@ def test_uniform_series_within_phase_budget_on_refine_window() -> None:
 @pytest.mark.parametrize(
     "n, search",
     [
-        (60, lambda dec: peak_fidelity(dec, 0, 59, GridSearch(100.0, 100001))),
-        (200, lambda dec: fidelity_curve(dec, 0, 199, 100.0, 20000)),
+        (60, lambda dec: peak_fidelity(pair_spectrum(dec, 0, 59), GridSearch(100.0, 100001))),
+        (200, lambda dec: fidelity_curve(pair_spectrum(dec, 0, 199), 100.0, 20000)),
     ],
     ids=["grid-peak-path:60", "fidelity-curve-path:200"],
 )
@@ -314,7 +317,7 @@ def _strategy_batch(g, models, u, v):
     for model in models:
         dec = _decompose(model, g)
         try:
-            two_level_candidate_time(dec, u, v)
+            two_level_candidate_time(pair_spectrum(dec, u, v))
             default = TwoLevelSearch()
         except DegenerateGapError:
             default = GridSearch(20.0, 401)
@@ -336,8 +339,9 @@ def test_peak_fidelity_reads_evolution_amplitude() -> None:
     cases.append((_strategy_batch(path_graph(6), p6_models, 0, 5), 0, 5))
     for batch, u, v in cases:
         for dec, strategy in batch:
-            peak = peak_fidelity(dec, u, v, strategy)
-            assert peak.fidelity == abs(evolution_amplitude(dec, peak.t_star, u, v))
+            pair = pair_spectrum(dec, u, v)
+            peak = peak_fidelity(pair, strategy)
+            assert peak.fidelity == abs(evolution_amplitude(pair, peak.t_star))
 
 
 def _reference_groups(dec, u, v):
@@ -370,8 +374,9 @@ def _reference_certificate(dec, u, v):
 
 def _readout(dec, u, v):
     # the certified result: |U| at the two-level candidate, read once
-    t_candidate = two_level_candidate_time(dec, u, v)
-    return PeakResult(t_candidate, abs(evolution_amplitude(dec, t_candidate, u, v)), "two-level")
+    pair = pair_spectrum(dec, u, v)
+    t_candidate = two_level_candidate_time(pair)
+    return PeakResult(t_candidate, abs(evolution_amplitude(pair, t_candidate)), "two-level")
 
 
 def _reference_series(dec, u, v, start, stop, samples):
@@ -397,42 +402,39 @@ def _reference_value(dec, u, v, t):
     weights = dec.eigenvectors[u] * dec.eigenvectors[v]
     phases = -1j * dec.eigenvalues
     terms = np.exp(phases * t) * weights
-    amplitude = evolution_amplitude(dec, t, u, v)
+    amplitude = evolution_amplitude(pair_spectrum(dec, u, v), t)
     return abs(amplitude), amplitude, complex(np.sum(phases * terms)), complex(np.sum(phases**2 * terms))
 
 
 @pytest.fixture
 def scans(monkeypatch) -> list:
-    """The (strategy, t_candidate) of each search glwalk.dynamics runs through its steps during the test.
+    """The (strategy, t_candidate) of each search glwalk.dynamics runs through _search during the test.
 
-    A certified two-level readout takes no steps and scans nothing, so it adds nothing.
+    A certified two-level readout runs no search and scans nothing, so it adds nothing.
     """
     calls = []
-    search_steps = glwalk.dynamics._search_steps
+    search = glwalk.dynamics._search
 
-    def recorded(strategy, eigenvalues, weights, t_candidate):
+    def recorded(strategy, pair, t_candidate, evaluate):
         calls.append((strategy, t_candidate))
-        return search_steps(strategy, eigenvalues, weights, t_candidate)
+        return search(strategy, pair, t_candidate, evaluate)
 
-    monkeypatch.setattr(glwalk.dynamics, "_search_steps", recorded)
+    monkeypatch.setattr(glwalk.dynamics, "_search", recorded)
     return calls
 
 
-def _steps(dec, u, v, strategy):
-    # the steps generator of dec's search where it is not certified, as _peaks starts it
-    t_candidate = two_level_candidate_time(dec, u, v) if isinstance(strategy, TwoLevelSearch) else None
-    return _search_steps(strategy, dec.eigenvalues, dec.eigenvectors[u] * dec.eigenvectors[v], t_candidate)
+def _asked(dec, u, v, strategy, value_at):
+    # the times dec's search asks evaluate for where it is not certified, in order, as
+    # _peaks runs it, with evaluate(t) answered by value_at(t)
+    pair = pair_spectrum(dec, u, v)
+    t_candidate = two_level_candidate_time(pair) if isinstance(strategy, TwoLevelSearch) else None
+    times = []
 
+    def evaluate(t):
+        times.append(t)
+        return value_at(t)
 
-def _first_steps(steps, count, value_at):
-    # the first count times a search's steps ask for (fewer if they end),
-    # fed value_at(t) for each time t
-    times = [next(steps)]
-    try:
-        while len(times) < count:
-            times.append(steps.send(value_at(times[-1])))
-    except StopIteration:
-        pass
+    _search(strategy, pair, t_candidate, evaluate)
     return times
 
 
@@ -488,39 +490,40 @@ def test_stacked_stages_equal_single(scans) -> None:
             stacked = hamiltonian_stack(models, g)
             decs = eigendecompose_stack(stacked)
             scans.clear()
-            peaks = _peaks(decs, u, v, TwoLevelSearch(), grid)
+            peaks = _peaks(pair_spectra(decs, u, v), TwoLevelSearch(), grid)
             scanned, expected = scans[:], []
             for model, h, dec, peak in zip(models, stacked, decs, peaks, strict=True):
                 value_at = functools.partial(_reference_value, dec, u, v)
                 alone = hamiltonian_matrix(model, g)
                 assert np.array_equal(h, alone) and np.array_equal(np.signbit(h), np.signbit(alone))
                 single = eigendecompose(alone)
+                single_pair = pair_spectrum(single, u, v)
                 for a, b in ((dec.eigenvalues, single.eigenvalues), (dec.eigenvectors, single.eigenvectors)):
                     assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
                 assert dec.group_sizes == single.group_sizes
                 if len(single.group_sizes) > 1:
                     strategy = TwoLevelSearch()
                     t_candidate = _reference_candidate(single, u, v)
-                    assert two_level_candidate_time(single, u, v) == t_candidate
+                    assert two_level_candidate_time(single_pair) == t_candidate
                     if _reference_certificate(single, u, v)[0]:
                         # a certified readout scans nothing and is |U| at the candidate
-                        assert peak == _readout(single, u, v) == peak_fidelity(single, u, v, strategy)
+                        assert peak == _readout(single, u, v) == peak_fidelity(single_pair, strategy)
                         certified += 1
                         continue
                     window = (t_candidate * 0.5, t_candidate * 1.5, strategy.refine_samples)
-                    asked = _first_steps(_steps(single, u, v, strategy), 3, value_at)
+                    asked = _asked(single, u, v, strategy, value_at)[:3]
                     assert asked[0] == t_candidate
                     asked = asked[1:]
                 else:
                     strategy, t_candidate = grid, None
                     window = (0.0, grid.t_max, grid.samples)
-                    asked = _first_steps(_steps(single, u, v, grid), 2, value_at)
+                    asked = _asked(single, u, v, grid, value_at)[:2]
                 expected.append((strategy, t_candidate))
                 t_sample, lo, hi = _reference_window(single, u, v, *window)
                 # the ascent starts from the best sample of the bracket
                 first = _first_ascent_time(single, value_at(t_sample), t_sample, lo, hi)
                 assert asked == [t_sample, *first]
-                assert peak == peak_fidelity(single, u, v, strategy)
+                assert peak == peak_fidelity(single_pair, strategy)
                 searched += 1
             # the stack scans each uncertified row, in order, and no certified one
             assert scanned == expected
@@ -535,7 +538,7 @@ def test_sweep_peaks_equal_peak_fidelity_per_k() -> None:
         for k, peak in zip(ks, sweep_peaks(g, u, v, ks, grid), strict=True):
             dec = _decompose(Generalized(k), g)
             strategy = TwoLevelSearch() if len(dec.group_sizes) > 1 else grid
-            assert peak == peak_fidelity(dec, u, v, strategy)
+            assert peak == peak_fidelity(pair_spectrum(dec, u, v), strategy)
 
 
 def _refine_cases():
@@ -561,7 +564,7 @@ def _refine_cases():
 def _window(dec, u, v, strategy):
     if isinstance(strategy, GridSearch):
         return 0.0, strategy.t_max, strategy.samples
-    t_candidate = two_level_candidate_time(dec, u, v)
+    t_candidate = two_level_candidate_time(pair_spectrum(dec, u, v))
     fraction = strategy.refine_window_fraction
     return t_candidate * (1.0 - fraction), t_candidate * (1.0 + fraction), strategy.refine_samples
 
@@ -570,23 +573,24 @@ def test_refine_contract(scans) -> None:
     eps = float(np.finfo(float).eps)
     stationary = scanned = certified = 0
     for dec, u, v, strategy in _refine_cases():
+        pair = pair_spectrum(dec, u, v)
         scans.clear()
-        peak = peak_fidelity(dec, u, v, strategy)
+        peak = peak_fidelity(pair, strategy)
         if isinstance(strategy, TwoLevelSearch) and _reference_certificate(dec, u, v)[0]:
             # certified: nothing is scanned, and the peak is |U| at the candidate
             assert not scans
             assert peak == _readout(dec, u, v)
             certified += 1
             continue
-        t_candidate = two_level_candidate_time(dec, u, v) if isinstance(strategy, TwoLevelSearch) else None
+        t_candidate = two_level_candidate_time(pair) if isinstance(strategy, TwoLevelSearch) else None
         assert scans == [(strategy, t_candidate)]
         t_sample, lo, hi = _reference_window(dec, u, v, *_window(dec, u, v, strategy))
-        # the steps ask for the candidate, if any, and then the best window sample
+        # the search asks for the candidate, if any, and then the best window sample
         seed = [] if t_candidate is None else [t_candidate]
         value_at = functools.partial(_reference_value, dec, u, v)
-        assert _first_steps(_steps(dec, u, v, strategy), len(seed) + 1, value_at) == [*seed, t_sample]
+        assert _asked(dec, u, v, strategy, value_at)[: len(seed) + 1] == [*seed, t_sample]
         # never below the best window sample
-        assert peak.fidelity >= abs(evolution_amplitude(dec, t_sample, u, v))
+        assert peak.fidelity >= abs(evolution_amplitude(pair, t_sample))
         spread = float(dec.eigenvalues[-1] - dec.eigenvalues[0])
         if spread * (hi - lo) <= math.pi:
             # no bulk oscillation inside the bracket: the ascent reaches its top
@@ -627,18 +631,19 @@ def test_certified_readout_contract(scans) -> None:
     for g, u, v, k in _certified_cases():
         h = hamiltonian_matrix(Generalized(k), g)
         dec = eigendecompose(h)
+        pair = pair_spectrum(dec, u, v)
         scans.clear()
-        peak = peak_fidelity(dec, u, v, TwoLevelSearch())
-        t_star = two_level_candidate_time(dec, u, v)
+        peak = peak_fidelity(pair, TwoLevelSearch())
+        t_star = two_level_candidate_time(pair)
         expected, floor, beta = _reference_certificate(dec, u, v)
         assert scans == ([] if expected else [(TwoLevelSearch(), t_star)])
         if not expected:
-            # the search's steps ask for the candidate first
+            # the search asks for the candidate first
             value_at = functools.partial(_reference_value, dec, u, v)
-            assert _first_steps(_steps(dec, u, v, TwoLevelSearch()), 1, value_at) == [t_star]
+            assert _asked(dec, u, v, TwoLevelSearch(), value_at)[:1] == [t_star]
             continue
         assert peak.method == "two-level" and peak.t_star == t_star
-        assert peak.fidelity == abs(evolution_amplitude(dec, t_star, u, v))
+        assert peak.fidelity == abs(evolution_amplitude(pair, t_star))
         # the 40-digit amplitude lies in the two-level bracket, up to the phase budget
         tol = float(np.abs(dec.eigenvalues).max()) * t_star * eps
         assert floor - tol <= mp_amplitude(h, t_star, u, v) <= floor + 2.0 * beta + tol
@@ -650,10 +655,11 @@ def test_certified_readout_contract(scans) -> None:
 def test_merged_pair_is_not_certified(scans, n, k) -> None:
     # eigh's grouping merges the pair (ROADMAP item 1), so the top two groups carry no certificate
     dec = _decompose(Generalized(k), path_graph(n))
-    peak_fidelity(dec, 0, n - 1, TwoLevelSearch())
-    t_candidate = two_level_candidate_time(dec, 0, n - 1)
+    pair = pair_spectrum(dec, 0, n - 1)
+    peak_fidelity(pair, TwoLevelSearch())
+    t_candidate = two_level_candidate_time(pair)
     assert scans == [(TwoLevelSearch(), t_candidate)]
     value_at = functools.partial(_reference_value, dec, 0, n - 1)
-    asked = _first_steps(_steps(dec, 0, n - 1, TwoLevelSearch()), 2, value_at)
+    asked = _asked(dec, 0, n - 1, TwoLevelSearch(), value_at)[:2]
     assert asked[0] == t_candidate and len(asked) == 2
     assert not _reference_certificate(dec, 0, n - 1)[0]

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import contextlib
+import io
+import re
 import types
+from pathlib import Path
 
 import glwalk
 
@@ -19,3 +23,12 @@ def test_every_export_imports() -> None:
     namespace: dict = {}
     exec("from glwalk import *", namespace)
     assert set(glwalk.__all__) <= namespace.keys()
+
+
+def test_readme_library_example_runs() -> None:
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    (example,) = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
+    output = io.StringIO()
+    with contextlib.redirect_stdout(output):
+        exec(example, {})
+    assert len(output.getvalue().splitlines()) == example.count("print(")

@@ -24,7 +24,7 @@ from glwalk import (
     evolution_amplitude,
     fidelity_curve,
     hamiltonian_matrix,
-    localization_mass,
+    pair_spectrum,
     path_graph,
     peak_fidelity,
     sign_pattern,
@@ -33,10 +33,9 @@ from glwalk import (
 from glwalk.cospectral import SIGN_TOL
 from glwalk.spectral import (
     ORTHONORMALITY_TOL,
-    group_eigenvalues,
     group_sums,
     grouping_tolerance,
-    pair_diagonals,
+    pair_spectra,
     residual_tolerance,
 )
 from oracles import group_columns, group_runs, projector_matrices
@@ -270,20 +269,54 @@ def _reduction_cases():
     yield path_graph(6), Generalized(143.0)
 
 
+def _assert_pair_fields(pair, dec, u, v) -> None:
+    # every field of the pair's record against np.sum and np.mean over each group's columns
+    columns = group_columns(dec)
+    assert pair.eigenvalues.tobytes() == dec.eigenvalues.tobytes()
+    assert pair.weights.tobytes() == (dec.eigenvectors[u] * dec.eigenvectors[v]).tobytes()
+    assert pair.diag_u.tolist() == [float(np.sum(c[u] ** 2)) for c in columns]
+    assert pair.diag_v.tolist() == [float(np.sum(c[v] ** 2)) for c in columns]
+    assert pair.couplings.tolist() == [float(np.sum(c[u] * c[v])) for c in columns]
+    assert pair.means.tolist() == [float(np.mean(dec.eigenvalues[run])) for run in group_runs(dec)]
+    assert pair.masses.tolist() == [float(np.sum(c[u] ** 2)) + float(np.sum(c[v] ** 2)) for c in columns]
+
+
 def test_group_reductions_equal_per_group_reference() -> None:
     sizes = set()
     for g, model in _reduction_cases():
         dec = eigendecompose(hamiltonian_matrix(model, g))
         sizes.update(dec.group_sizes)
-        for mean, run in zip(group_eigenvalues(dec).tolist(), group_runs(dec)):
-            assert mean == float(np.mean(dec.eigenvalues[run]))
-        columns = group_columns(dec)
         for u in range(g.n):
             for v in range(u + 1, g.n):
-                masses = localization_mass(dec, u, v)
-                assert masses.tolist() == [float(np.sum(c[u] ** 2)) + float(np.sum(c[v] ** 2)) for c in columns]
-                assert sign_pattern(dec, u, v).signs == _reference_signs(dec, u, v)
+                pair = pair_spectrum(dec, u, v)
+                _assert_pair_fields(pair, dec, u, v)
+                assert sign_pattern(pair).signs == _reference_signs(dec, u, v)
     assert {1, 2, 8, 10, 18} <= sizes
+
+
+def test_pair_spectra_of_a_stack_equal_each_alone() -> None:
+    # one group_sums over a stack of spectra gives each record the fields of its spectrum alone
+    for g, model in _reduction_cases():
+        ks = [0.0, 1.5, -2.0]
+        decs = eigendecompose_stack(np.array([hamiltonian_matrix(Generalized(k), g) for k in ks]))
+        u, v = 0, g.n - 1
+        for pair, dec in zip(pair_spectra(decs, u, v), decs, strict=True):
+            _assert_pair_fields(pair, dec, u, v)
+
+
+def test_group_sums_equal_np_sum_bit_for_bit() -> None:
+    # random runs and all one-entry runs (the fast path), with a -0.0 entry, which np.sum
+    # and the sum from zero both turn into +0.0
+    rng = np.random.default_rng(139)
+    for n in range(1, 101):
+        values = rng.standard_normal((3, n))
+        values[rng.integers(3), rng.integers(n)] = -0.0
+        cuts = np.flatnonzero(rng.random(n - 1) < 0.4) + 1
+        for sizes in (np.diff([0, *cuts, n]).tolist(), [1] * n):
+            sums = group_sums(values, sizes)
+            bounds = np.cumsum([0, *sizes])
+            expected = [[np.sum(row[a:b]) for a, b in zip(bounds, bounds[1:])] for row in values]
+            assert sums.tobytes() == np.array(expected).tobytes()
 
 
 def _flip_cases():
@@ -327,18 +360,20 @@ def test_flipping_eigenvector_signs_changes_no_result() -> None:
         dec = eigendecompose(hamiltonian_matrix(model, g))
         flipped = _with_flipped_columns(dec, rng)
         assert not np.array_equal(flipped.eigenvectors, dec.eigenvectors)
-        calls = [(evolution_amplitude, t, u, v) for t in (0.0, 0.7, 13.0, 6.6e8)] + [
-            (fidelity_curve, u, v, 20.0, 301),
-            (fidelity_curve, u, v, 1e9, 301),
-            (peak_fidelity, u, v, GridSearch(20.0, 401)),
-            (peak_fidelity, u, v, TwoLevelSearch()),
-            (two_level_candidate_time, u, v),
-            (pair_diagonals, u, v),
-            (localization_mass, u, v),
-            (sign_pattern, u, v),
+        pair, flipped_pair = pair_spectrum(dec, u, v), pair_spectrum(flipped, u, v)
+        for field in ("eigenvalues", "weights", "diag_u", "diag_v", "couplings", "means", "masses"):
+            assert _outcome(getattr, flipped_pair, field) == _outcome(getattr, pair, field), field
+        calls = [(evolution_amplitude, t) for t in (0.0, 0.7, 13.0, 6.6e8)] + [
+            (fidelity_curve, 20.0, 301),
+            (fidelity_curve, 1e9, 301),
+            (peak_fidelity, GridSearch(20.0, 401)),
+            (peak_fidelity, TwoLevelSearch()),
+            (two_level_candidate_time,),
+            (sign_pattern,),
         ]
         for f, *args in calls:
-            assert _outcome(f, flipped, *args) == _outcome(f, dec, *args), f.__name__
+            assert _outcome(f, flipped_pair, *args) == _outcome(f, pair, *args), f.__name__
         adjacency = eigendecompose(g.adjacency_matrix(with_loops=False))
-        flipped = _with_flipped_columns(adjacency, rng)
+        flipped = pair_spectrum(_with_flipped_columns(adjacency, rng), u, v)
+        adjacency = pair_spectrum(adjacency, u, v)
         assert _outcome(cospectrality, g, u, v, flipped) == _outcome(cospectrality, g, u, v, adjacency)
