@@ -216,12 +216,7 @@ def _cmd_fidelity(args, graph: Graph) -> dict | str:
 
 def _cmd_peak(args, graph: Graph) -> dict:
     pair = _pair_spectrum(args, graph)
-    if args.strategy == "grid":
-        strategy = GridSearch(t_max=args.tmax, samples=args.samples)
-    else:
-        strategy = TwoLevelSearch(
-            refine_window_fraction=args.window, refine_samples=args.refine_samples
-        )
+    strategy = GridSearch(t_max=args.tmax, samples=args.samples) if args.strategy == "grid" else TwoLevelSearch()
     # strategy by keyword, where bench/tracing.py's peak_fidelity hook reads it
     peak = peak_fidelity(pair, strategy=strategy)
     try:
@@ -341,13 +336,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("peak", parents=[common], help="peak-fidelity search with diagnostics (JSON)")
     p.add_argument("--model", required=True)
-    p.add_argument("--strategy", choices=["two-level", "grid"], default="two-level")
+    p.add_argument(
+        "--strategy",
+        choices=["two-level", "grid"],
+        default="two-level",
+        help="two-level: |U| at t* = pi/gap where the spectrum certifies it, else a window search around t*;"
+        " grid: a scan of [0, --tmax]",
+    )
     p.add_argument("--tmax", type=float, default=100.0, help="grid strategy horizon")
     p.add_argument("--samples", type=int, default=100001, help="grid strategy sample count")
-    p.add_argument(
-        "--window", type=float, default=0.5, help="two-level refinement window fraction (uncertified searches only)"
-    )
-    p.add_argument("--refine-samples", type=int, default=2000, help="window samples (uncertified searches only)")
     p.add_argument("--epsilon", type=float, default=0.1, help="epsilon for the reported threshold")
     p.set_defaults(handler=_cmd_peak)
 

@@ -12,11 +12,10 @@ samples cost about 2*sqrt(S)*n complex exponentials and one
 sqrt(S) x n x sqrt(S) complex matrix product, with O(sqrt(S)*n + S) memory,
 in place of S*n exponentials held at once.
 
-A strategy checks its own settings when built. The peak searches of a
-block of spectra (the one spectrum of peak_fidelity, or a block of k values
-of sweep_peaks, whose records spectral.pair_spectra builds from one
-group_sums) take their two-level candidates and certificates together;
-after that each search runs on its own.
+GridSearch checks its settings when built. peak_fidelity searches one
+spectrum; sweep_peaks builds the records of a block of k values from one
+stacked decomposition and one group_sums (spectral.pair_spectra) and runs
+that same search on each.
 
 The certificate: with U(t) = sum_r c_r * exp(-i*mu_r*t), c_r = (P_r)_{uv},
 take the two groups r, s most localized on {u, v}, the bulk weight
@@ -26,10 +25,8 @@ candidate pi/|mu_r - mu_s| lies in [L, L + 2*beta], up to the phase
 budget max|lambda|*t*eps, and sup_t |U| <= L + 2*beta <= 1 (the two-level
 picture of Kempton, Lippner and Yau, QIC 2017). Where also
 L >= 1 - CERTIFIED_SHORTFALL, no search can beat that readout by more than
-CERTIFIED_SHORTFALL, so the search is certified: it evaluates the
-candidate alone and scans nothing. The certified searches of a block are
-read in one array step, one np.exp over their stacked phases and one
-(K,1,n) @ (K,n,1) np.matmul.
+CERTIFIED_SHORTFALL, so the search is certified: it reads
+evolution_amplitude at the candidate alone and scans nothing.
 
 Every other search scans its window and then calls evaluate(t) for each
 point it compares, which returns (|U|, U, U', U'') at t from one np.exp of
@@ -40,16 +37,9 @@ bracket between that sample's neighbours: a step is kept only where |U|
 rises, so the refined fidelity is never below the best sample, and the
 trust radius starts at min(bracket width, 1/(2*spread of the spectrum)),
 short of the fastest oscillation. Where an uncertified bracket spans many
-bulk oscillations, the ascent climbs the one at the sample.
-
-Every result is bit-identical to the search of its spectrum alone, and
-its fidelity to |evolution_amplitude| at its time: the readout's matmul
-takes each slice's product with the same dot as the 1-D product (a (K,n)
-row-wise product or a sum rounds differently), U is not read off the
-derivative product, whose gemv rounds differently from that dot, every
-other stacked operation is elementwise or per row, and reported
-magnitudes go through Python abs, which np.abs on a complex array does
-not always match.
+bulk oscillations, the ascent climbs the one at the sample. U is the same
+np.exp and dot as evolution_amplitude, so every reported fidelity is
+|evolution_amplitude| at its time.
 """
 
 from __future__ import annotations
@@ -68,6 +58,10 @@ from .spectral import PairSpectrum, eigendecompose_stack, pair_spectra
 #: the refine's Newton ascent stops once its next step or its trust radius is
 #: within REFINE_RELATIVE_WIDTH * max(1, |t|) over the bracket
 REFINE_RELATIVE_WIDTH = 1e-12
+#: an uncertified TwoLevelSearch scans REFINE_SAMPLES points of
+#: t_c * (1 +- REFINE_WINDOW_FRACTION) around its candidate time t_c
+REFINE_WINDOW_FRACTION = 0.5
+REFINE_SAMPLES = 2000
 #: a sweep's Hamiltonian stack holds at most this many matrix entries: it
 #: decomposes max(1, SWEEP_BLOCK_ENTRIES // (n*n)) k values at once
 SWEEP_BLOCK_ENTRIES = 2**14
@@ -118,22 +112,13 @@ class GridSearch:
 
 @dataclass(frozen=True)
 class TwoLevelSearch:
-    """Seed at the two-level candidate time t_c and refine inside t_c * (1 +- refine_window_fraction).
+    """Seed at the two-level candidate time t_c and refine inside t_c * (1 +- REFINE_WINDOW_FRACTION).
 
     A search whose spectrum certifies the readout (floor L >= 1 -
     CERTIFIED_SHORTFALL, see the module docstring) returns |U(t_c)|, which
     lies in [L, L + 2*beta] and at most CERTIFIED_SHORTFALL below sup_t |U|,
-    and scans nothing; the window settings shape only uncertified searches.
+    and scans nothing; every other search scans REFINE_SAMPLES window points.
     """
-
-    refine_window_fraction: float = 0.5
-    refine_samples: int = 2000
-
-    def __post_init__(self):
-        if not 0 < self.refine_window_fraction < 1:
-            raise ValueError("refine_window_fraction must lie in (0, 1)")
-        if self.refine_samples < 3:
-            raise ValueError("need at least three refinement samples")
 
 
 def evolution_amplitude(pair: PairSpectrum, t: float) -> complex:
@@ -177,33 +162,24 @@ def fidelity_curve(pair: PairSpectrum, t_max: float, samples: int) -> FidelityCu
     return FidelityCurve(times=times, probabilities=probabilities)
 
 
-def _two_level_candidates(pairs: Sequence[PairSpectrum]) -> tuple[list[float | DegenerateGapError], list[bool]]:
-    """two_level_candidate_time of each pair spectrum, or the error it raises, and whether it is certified.
+def _two_level(pair: PairSpectrum) -> tuple[float, bool]:
+    """two_level_candidate_time of the pair spectrum and whether its readout is certified.
 
-    A candidate is certified where the top two groups r, s by pair mass have
-    c_r * c_s < 0 and the floor L = |c_r| + |c_s| - beta is at least
-    1 - CERTIFIED_SHORTFALL, with beta the sum of |c| over the other groups.
-    The groups of all the spectra are taken at once: one stable sort ranks
-    each spectrum's groups by falling mass, ties in group order.
+    The top two groups r, s by pair mass, ties in group order, give the
+    candidate; it is certified where c_r * c_s < 0 and the floor
+    L = |c_r| + |c_s| - beta is at least 1 - CERTIFIED_SHORTFALL, with beta
+    the sum of |c| over the other groups.
     """
-    counts = np.array([len(pair.means) for pair in pairs])
-    starts = np.cumsum(counts) - counts
-    masses = np.concatenate([pair.masses for pair in pairs])
-    couplings = np.concatenate([pair.couplings for pair in pairs])
-    means = np.concatenate([pair.means for pair in pairs])
-    order = np.lexsort((-masses, np.repeat(np.arange(len(pairs)), counts)))
-    several = counts > 1
-    # a spectrum with one group takes it as both r and s: a zero gap and c_r*c_s >= 0
-    first, second = order[starts], order[starts + several]
-    magnitudes = np.abs(couplings)
-    # L = |c_r| + |c_s| - beta = 2 * (|c_r| + |c_s|) - the sum of |c| over the spectrum's groups
-    floors = 2.0 * (magnitudes[first] + magnitudes[second]) - np.add.reduceat(magnitudes, starts)
-    certified = (couplings[first] * couplings[second] < 0) & (floors >= 1.0 - CERTIFIED_SHORTFALL)
-    candidates: list[float | DegenerateGapError] = [
-        math.pi / gap if split else DegenerateGapError("fewer than two eigenvalue groups; no beat frequency exists")
-        for gap, split in zip(np.abs(means[first] - means[second]).tolist(), several.tolist())
-    ]
-    return candidates, certified.tolist()
+    masses, couplings, means = pair.masses.tolist(), pair.couplings.tolist(), pair.means.tolist()
+    if len(means) < 2:
+        raise DegenerateGapError("fewer than two eigenvalue groups; no beat frequency exists")
+    # a stable sort keeps ties in group order
+    first, second = sorted(range(len(masses)), key=masses.__getitem__, reverse=True)[:2]
+    c_r, c_s = couplings[first], couplings[second]
+    # L = |c_r| + |c_s| - beta = 2 * (|c_r| + |c_s|) - the sum of |c| over all groups
+    floor = 2.0 * (abs(c_r) + abs(c_s)) - sum(map(abs, couplings))
+    certified = c_r * c_s < 0 and floor >= 1.0 - CERTIFIED_SHORTFALL
+    return math.pi / abs(means[first] - means[second]), certified
 
 
 def two_level_candidate_time(pair: PairSpectrum) -> float:
@@ -216,10 +192,7 @@ def two_level_candidate_time(pair: PairSpectrum) -> float:
     group has no gap and raises DegenerateGapError, and callers should fall
     back to a grid search.
     """
-    candidate = _two_level_candidates([pair])[0][0]
-    if isinstance(candidate, DegenerateGapError):
-        raise candidate
-    return candidate
+    return _two_level(pair)[0]
 
 
 def _ascend(evaluate, t: float, value: tuple, lo: float, hi: float, radius: float) -> tuple[float, float]:
@@ -281,9 +254,9 @@ def _search(
         samples, start, stop = strategy.samples, 0.0, strategy.t_max
         seed_method, best_t, best_f = "grid", 0.0, -1.0
     else:
-        samples = strategy.refine_samples
-        start = t_candidate * (1.0 - strategy.refine_window_fraction)
-        stop = t_candidate * (1.0 + strategy.refine_window_fraction)
+        samples = REFINE_SAMPLES
+        start = t_candidate * (1.0 - REFINE_WINDOW_FRACTION)
+        stop = t_candidate * (1.0 + REFINE_WINDOW_FRACTION)
         seed_method, best_t, best_f = "two-level", t_candidate, evaluate(t_candidate)[0]
     times, amplitudes = _uniform_series(pair, start, stop, samples)
     j = int(np.argmax(np.abs(amplitudes)))
@@ -304,53 +277,24 @@ def _search(
     return PeakResult(t_star=best_t, fidelity=best_f, method=method)
 
 
-def _peaks(
-    pairs: Sequence[PairSpectrum], strategy: GridSearch | TwoLevelSearch, fallback: GridSearch | None = None
-) -> list[PeakResult]:
-    """peak_fidelity of each pair spectrum (all of one size), in input order.
-
-    A spectrum whose two-level candidate raises DegenerateGapError is
-    searched with fallback instead; without a fallback the error
-    propagates. The certified searches are read in one array step, and
-    every other one is scanned and refined on its own (see the module
-    docstring).
-    """
-    if isinstance(strategy, TwoLevelSearch):
-        candidates, certified = _two_level_candidates(pairs)
-    else:
-        candidates, certified = [None] * len(pairs), [False] * len(pairs)
-    peaks: list[PeakResult | None] = [None] * len(pairs)
-    read = [i for i, ok in enumerate(certified) if ok]
-    if read:
-        phases = -1j * np.array([pairs[i].eigenvalues for i in read])
-        blocks = np.exp(phases * np.array([candidates[i] for i in read])[:, None])[:, None, :]
-        weights = np.array([pairs[i].weights for i in read], dtype=complex)
-        values = np.matmul(blocks, weights[:, :, None]).ravel().tolist()
-        for i, value in zip(read, values):
-            peaks[i] = PeakResult(t_star=candidates[i], fidelity=abs(value), method="two-level")
-    for i, candidate in enumerate(candidates):
-        if certified[i]:
-            continue
-        chosen = strategy
-        if isinstance(candidate, DegenerateGapError):
-            if fallback is None:
-                raise candidate
-            chosen, candidate = fallback, None
-        peaks[i] = _search(chosen, pairs[i], candidate, _evaluator(pairs[i]))
-    return peaks
-
-
 def peak_fidelity(pair: PairSpectrum, strategy: GridSearch | TwoLevelSearch) -> PeakResult:
-    """Search for the peak of |U(t)_{u,v}|.
+    """Search for the peak of |U(t)_{u,v}| in one pair spectrum.
 
-    TwoLevelSearch seeds at the two-level candidate time and refines inside
-    t* * (1 +- refine_window_fraction), or, where the spectrum certifies the
-    readout, returns |U| at the candidate alone (method "two-level", within
-    [L, L + 2*beta] and CERTIFIED_SHORTFALL of the supremum); GridSearch
+    TwoLevelSearch ranks the spectrum's groups for the two-level candidate
+    time t* and, where the spectrum certifies the readout, returns
+    |evolution_amplitude| at t* alone (method "two-level", within
+    [L, L + 2*beta] and CERTIFIED_SHORTFALL of the supremum); otherwise it
+    seeds at t* and refines inside t* * (1 +- REFINE_WINDOW_FRACTION). A
+    spectrum with one eigenvalue group raises DegenerateGapError. GridSearch
     takes the best of a uniform scan of [0, t_max] and refines between the
     neighbors of the best sample.
     """
-    return _peaks([pair], strategy)[0]
+    if isinstance(strategy, GridSearch):
+        return _search(strategy, pair, None, _evaluator(pair))
+    t_candidate, certified = _two_level(pair)
+    if certified:
+        return PeakResult(t_star=t_candidate, fidelity=abs(evolution_amplitude(pair, t_candidate)), method="two-level")
+    return _search(strategy, pair, t_candidate, _evaluator(pair))
 
 
 def sweep_peaks(graph: Graph, u: int, v: int, ks: Sequence[float], fallback: GridSearch) -> list[PeakResult]:
@@ -358,16 +302,20 @@ def sweep_peaks(graph: Graph, u: int, v: int, ks: Sequence[float], fallback: Gri
 
     The k values are taken a block of max(1, SWEEP_BLOCK_ENTRIES // n**2)
     at a time: one Hamiltonian stack, one stacked decomposition and one
-    two-level candidate step per block, dropped before the next block is
-    built. Certified k values are read at their candidate times and every
-    other k is searched on its own; each result equals peak_fidelity of its
-    k alone.
+    pair_spectra per block, dropped before the next block is built. Each
+    row then runs peak_fidelity on its own, so each result equals
+    peak_fidelity of its k alone.
     """
     block = max(1, SWEEP_BLOCK_ENTRIES // graph.n**2)
+    strategy = TwoLevelSearch()
     peaks = []
     for i in range(0, len(ks), block):
         models = [Generalized(k) for k in ks[i : i + block]]
         # passed as temporaries, the block's stack and decompositions are dropped before its searches
-        pairs = pair_spectra(eigendecompose_stack(hamiltonian_stack(models, graph)), u, v)
-        peaks += _peaks(pairs, TwoLevelSearch(), fallback)
+        for pair in pair_spectra(eigendecompose_stack(hamiltonian_stack(models, graph)), u, v):
+            # strategy by keyword, where bench/tracing.py's peak_fidelity hook reads it
+            try:
+                peaks.append(peak_fidelity(pair, strategy=strategy))
+            except DegenerateGapError:
+                peaks.append(peak_fidelity(pair, strategy=fallback))
     return peaks

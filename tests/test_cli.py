@@ -861,6 +861,17 @@ def test_commands_in_one_process_are_independent(capsys) -> None:
     assert run_cli(capsys, *peak) == first
 
 
+@pytest.mark.parametrize("flag, value", [("--window", "0.2"), ("--refine-samples", "10")])
+def test_peak_window_flags_are_gone(capsys, flag, value) -> None:
+    # the two-level window is fixed (glwalk.dynamics.REFINE_WINDOW_FRACTION, REFINE_SAMPLES)
+    code, out, err = run_cli(
+        capsys, "peak", "--graph", "path:6", "--model", "generalized:143", "--u", "0", "--v", "5", flag, value
+    )
+    assert (code, out) == (2, "")
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert json.loads(err)["error"] == {"type": "usage", "message": f"unrecognized arguments: {flag} {value}"}
+
+
 def test_bad_flags_exit_2(capsys) -> None:
     code, _, err = run_cli(capsys, "peak", "--graph", "path:2", "--u", "0", "--v", "1")
     assert code == 2  # missing --model
@@ -1055,9 +1066,12 @@ def test_table_read_returns_argparse_namespace_or_declines(golden) -> None:
     commands = [shlex.split(command) for command in golden.corpus()]
     read = [argv for argv in commands if _read_or_decline(argv)]
     declined = [argv for argv in commands if argv not in read]
-    # argparse reads a joined --flag=value; the fidelity command lacks --model
+    # argparse reads a joined --flag=value; the fidelity command lacks --model, and peak
+    # has no --refine-samples or --window
     assert [shlex.join(argv) for argv in declined] == [
         "fidelity --graph path:6 --u 0 --v 5",
+        "peak --graph path:6 --model generalized:143 --u 0 --v 5 --refine-samples 10007",
+        "peak --graph path:6 --model generalized:143 --u 0 --v 5 --window 0.2 --epsilon 0.3",
         "sweep --graph path:6 --u 0 --v 5 --kmin=-1.5e2 --kmax 0 --steps 2",
     ]
     rng = random.Random(24)

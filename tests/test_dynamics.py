@@ -33,7 +33,14 @@ from glwalk import (
     two_level_candidate_time,
 )
 import glwalk.dynamics
-from glwalk.dynamics import CERTIFIED_SHORTFALL, REFINE_RELATIVE_WIDTH, _peaks, _search, _uniform_series
+from glwalk.dynamics import (
+    CERTIFIED_SHORTFALL,
+    REFINE_RELATIVE_WIDTH,
+    REFINE_SAMPLES,
+    REFINE_WINDOW_FRACTION,
+    _search,
+    _uniform_series,
+)
 from glwalk.spectral import pair_spectra
 from oracles import amplitude_oracle, dense_peak, group_runs, mp_amplitude, unitary_oracle
 
@@ -189,8 +196,6 @@ def test_peak_strategy_validation() -> None:
         peak_fidelity(pair, GridSearch(-1.0, 100))
     with pytest.raises(ValueError):
         peak_fidelity(pair, GridSearch(1.0, 2))
-    with pytest.raises(ValueError):
-        peak_fidelity(pair, TwoLevelSearch(refine_window_fraction=1.5))
 
 
 def test_unitarity_rows() -> None:
@@ -425,7 +430,7 @@ def scans(monkeypatch) -> list:
 
 def _asked(dec, u, v, strategy, value_at):
     # the times dec's search asks evaluate for where it is not certified, in order, as
-    # _peaks runs it, with evaluate(t) answered by value_at(t)
+    # peak_fidelity runs it, with evaluate(t) answered by value_at(t)
     pair = pair_spectrum(dec, u, v)
     t_candidate = two_level_candidate_time(pair) if isinstance(strategy, TwoLevelSearch) else None
     times = []
@@ -482,6 +487,14 @@ def _stack_cases():
     return cases
 
 
+def _row_peak(pair, grid):
+    # the search sweep_peaks runs on each row of a block: the grid where the spectrum has one group
+    try:
+        return peak_fidelity(pair, strategy=TwoLevelSearch())
+    except DegenerateGapError:
+        return peak_fidelity(pair, strategy=grid)
+
+
 def test_stacked_stages_equal_single(scans) -> None:
     certified = searched = 0
     for g, u, v, ks, grid in _stack_cases():
@@ -490,7 +503,7 @@ def test_stacked_stages_equal_single(scans) -> None:
             stacked = hamiltonian_stack(models, g)
             decs = eigendecompose_stack(stacked)
             scans.clear()
-            peaks = _peaks(pair_spectra(decs, u, v), TwoLevelSearch(), grid)
+            peaks = [_row_peak(pair, grid) for pair in pair_spectra(decs, u, v)]
             scanned, expected = scans[:], []
             for model, h, dec, peak in zip(models, stacked, decs, peaks, strict=True):
                 value_at = functools.partial(_reference_value, dec, u, v)
@@ -510,7 +523,7 @@ def test_stacked_stages_equal_single(scans) -> None:
                         assert peak == _readout(single, u, v) == peak_fidelity(single_pair, strategy)
                         certified += 1
                         continue
-                    window = (t_candidate * 0.5, t_candidate * 1.5, strategy.refine_samples)
+                    window = (t_candidate * 0.5, t_candidate * 1.5, REFINE_SAMPLES)
                     asked = _asked(single, u, v, strategy, value_at)[:3]
                     assert asked[0] == t_candidate
                     asked = asked[1:]
@@ -525,7 +538,7 @@ def test_stacked_stages_equal_single(scans) -> None:
                 assert asked == [t_sample, *first]
                 assert peak == peak_fidelity(single_pair, strategy)
                 searched += 1
-            # the stack scans each uncertified row, in order, and no certified one
+            # the block's searches scan each uncertified row, in order, and no certified one
             assert scanned == expected
     # certified: every member of the paper-regime path:6 and of a path:2 draw (19 each over
     # the four sizes), and 5 of the 13 rows of the mixed stacks
@@ -565,8 +578,8 @@ def _window(dec, u, v, strategy):
     if isinstance(strategy, GridSearch):
         return 0.0, strategy.t_max, strategy.samples
     t_candidate = two_level_candidate_time(pair_spectrum(dec, u, v))
-    fraction = strategy.refine_window_fraction
-    return t_candidate * (1.0 - fraction), t_candidate * (1.0 + fraction), strategy.refine_samples
+    fraction = REFINE_WINDOW_FRACTION
+    return t_candidate * (1.0 - fraction), t_candidate * (1.0 + fraction), REFINE_SAMPLES
 
 
 def test_refine_contract(scans) -> None:

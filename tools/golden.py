@@ -111,8 +111,6 @@ EXTRA = [
     "sweep --graph path:200 --u 0 --v 199 --kmin 1 --kmax 2 --steps 0 --epsilon 0.1",
     "peak --graph path:60 --model adjacency --u 0 --v 59 --strategy grid --tmax 100 --samples 20001",
     "peak --graph cycle:60 --model generalized:0.5 --u 0 --v 30 --strategy grid --samples 10001",
-    "peak --graph path:6 --model generalized:143 --u 0 --v 5 --refine-samples 10007",
-    "peak --graph path:6 --model generalized:143 --u 0 --v 5 --window 0.2 --epsilon 0.3",
     "peak --graph path:6 --model adjacency --u 0 --v 5 --epsilon 1.5",
     "peak --graph path:7 --model generalized:143 --u 0 --v 6",
     "peak --graph path:100 --model generalized:0.5 --u 0 --v 99",
@@ -149,6 +147,9 @@ EXTRA = [
     "peak --graph path:6 --model generalized:inf --u 0 --v 5",
     "peak --graph path:6 --model loops:0,5,nan --u 0 --v 5",
     "analyze --graph file:nanloop6.txt --u 0 --v 5",
+    # peak's removed window flags, usage errors since the window became fixed
+    "peak --graph path:6 --model generalized:143 --u 0 --v 5 --refine-samples 10007",
+    "peak --graph path:6 --model generalized:143 --u 0 --v 5 --window 0.2 --epsilon 0.3",
     # sweeps of many k values, each peak searched on its own
     "sweep --graph path:6 --u 0 --v 5 --kmin 100 --kmax 190 --steps 16 --epsilon 0.1",
     "sweep --graph bipartite:2,5 --u 0 --v 1 --kmin 120 --kmax 260 --steps 12 --json",
